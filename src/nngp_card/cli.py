@@ -88,15 +88,18 @@ def _jsonify(obj):
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
+    threads, source = args.threads, "--threads"
+    if threads is None:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), THREADS_ENV
         except ValueError:
             raise CLIError(f"{THREADS_ENV}={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise CLIError(f"{source}={threads} must be >= 1")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,7 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------------------
 
 _CONFIG_SECTIONS = {"kernel", "encoder", "delta"}
-_ENCODER_KEYS = {"chunk_size", "bitmap_threshold", "normalize"}
+_ENCODER_KEYS = {"chunk_size", "bitmap_threshold"}
 
 _KERNEL_FLAGS = (
     ("sigma_w_sq", float),
@@ -146,7 +149,6 @@ def _effective_config(args) -> dict:
         encoder_doc["bitmap_threshold"] = args.bitmap_threshold
     encoder_doc.setdefault("chunk_size", encoder.DEFAULT_CHUNK_SIZE)
     encoder_doc.setdefault("bitmap_threshold", encoder.DEFAULT_BITMAP_THRESHOLD)
-    encoder_doc.setdefault("normalize", True)
 
     delta = getattr(args, "delta", None)
     if delta is None:
@@ -291,7 +293,7 @@ def cmd_encode(args) -> int:
     queries = [q for q, _ in items]
     for q in queries:
         q.validate(catalog)
-    matrix = encode_batch(queries, layout, catalog, normalize=cfg["encoder"]["normalize"])
+    matrix = encode_batch(queries, layout, catalog)
 
     ids = np.asarray([q.id if q.id is not None else i for i, q in enumerate(queries)], dtype=np.int64)
     targets = None
@@ -309,7 +311,6 @@ def cmd_encode(args) -> int:
         layout.hash(),
         ids=ids,
         targets_log=targets,
-        normalized=cfg["encoder"]["normalize"],
         extra_header=header,
     )
     log.info("encoded %d queries (d_enc=%d) -> %s", len(queries), layout.dim, args.out)
@@ -427,9 +428,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _encode_labeled(path, catalog, layout, cfg):
+def _encode_labeled(path, catalog, layout):
     labeled, _ = workload.load_workload(path)
-    X = encode_batch(labeled.queries(), layout, catalog, normalize=cfg["encoder"]["normalize"])
+    X = encode_batch(labeled.queries(), layout, catalog)
     y = np.log(labeled.cardinalities().astype(np.float64))
     return labeled, X, y
 
@@ -442,9 +443,9 @@ def cmd_active_learn(args) -> int:
         chunk_size=cfg["encoder"]["chunk_size"],
         bitmap_threshold=cfg["encoder"]["bitmap_threshold"],
     )
-    train, X_train, y_train = _encode_labeled(args.train, catalog, layout, cfg)
-    pool, X_pool, y_pool = _encode_labeled(args.pool, catalog, layout, cfg)
-    test, X_test, _ = _encode_labeled(args.test, catalog, layout, cfg)
+    train, X_train, y_train = _encode_labeled(args.train, catalog, layout)
+    pool, X_pool, y_pool = _encode_labeled(args.pool, catalog, layout)
+    test, X_test, _ = _encode_labeled(args.test, catalog, layout)
 
     result = evaluation.active_learn(
         X_train,

@@ -4,11 +4,14 @@ Layout order is deterministic: relations by name, attributes lexicographically
 within each relation, then the catalog's join pairs. Every query maps to the
 same vector length regardless of how many conditions it carries; attributes
 without a condition get the neutral "selects everything" encoding.
+
+Batches always carry normalized factorized slots, so every slot lies in
+[0, 1]: raw chunk integers up to 2^chunk_size - 1 would swamp the range slots
+in the <x, x'> / d base kernel.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .queries import InFilter, Query, RangeFilter
-from .relstore import CategoricalType, SchemaCatalog
+from .relstore import CategoricalType, SchemaCatalog, stable_hash
 
 DEFAULT_CHUNK_SIZE = 8
 DEFAULT_BITMAP_THRESHOLD = 16
@@ -97,12 +100,6 @@ class EncodingLayout:
         return stable_hash(doc)
 
 
-def stable_hash(obj) -> str:
-    """Short sha256 of the canonical JSON form of a JSON-compatible object."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def build_layout(
     catalog: SchemaCatalog,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -144,7 +141,7 @@ def build_layout(
         dim=offset,
         chunk_size=chunk_size,
         bitmap_threshold=bitmap_threshold,
-        catalog_hash=stable_hash(catalog.describe()),
+        catalog_hash=catalog.content_hash,
     )
 
 
@@ -168,7 +165,7 @@ def encode(query: Query, layout: EncodingLayout, catalog: SchemaCatalog) -> np.n
     attributes encode as the full range / all-ones bitmap, absent join pairs
     as 000.
     """
-    if layout.catalog_hash != stable_hash(catalog.describe()):
+    if layout.catalog_hash != catalog.content_hash:
         raise EncodingError("layout was built from a different catalog")
     vec = np.zeros(layout.dim, dtype=np.float64)
 
@@ -227,32 +224,19 @@ def normalize_features(batch: np.ndarray, layout: EncodingLayout) -> np.ndarray:
     return out
 
 
-def denormalize_features(batch: np.ndarray, layout: EncodingLayout) -> np.ndarray:
-    out = np.array(batch, dtype=np.float64, copy=True)
-    slots = layout.factorized_slots()
-    if slots.size:
-        out[..., slots] *= float(2**layout.chunk_size - 1)
-    return out
-
-
-def encode_batch(
-    queries: Sequence[Query],
-    layout: EncodingLayout,
-    catalog: SchemaCatalog,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Encode queries into an (n, dim) matrix; factorized slots normalized by default."""
+def encode_batch(queries: Sequence[Query], layout: EncodingLayout, catalog: SchemaCatalog) -> np.ndarray:
+    """Encode queries into an (n, dim) matrix with normalized factorized slots."""
     if not queries:
         return np.zeros((0, layout.dim), dtype=np.float64)
     mat = np.stack([encode(q, layout, catalog) for q in queries])
-    return normalize_features(mat, layout) if normalize else mat
+    return normalize_features(mat, layout)
 
 
 # ---------------------------------------------------------------------------
 # encoded-matrix file: one JSON header line, then little-endian float64 payload
 # ---------------------------------------------------------------------------
 
-MATRIX_FORMAT = "nngp-card-encoded-v1"
+MATRIX_FORMAT = "nngp-card-encoded-v2"
 
 
 def save_encoded(
@@ -261,7 +245,6 @@ def save_encoded(
     layout_hash: str,
     ids: np.ndarray | None = None,
     targets_log: np.ndarray | None = None,
-    normalized: bool = True,
     extra_header: dict | None = None,
 ) -> None:
     """Persist an encoded batch with its layout hash and optional ids/targets."""
@@ -272,7 +255,6 @@ def save_encoded(
         "n": n,
         "d_enc": dim,
         "layout_hash": layout_hash,
-        "normalized": bool(normalized),
         "has_ids": ids is not None,
         "has_targets": targets_log is not None,
     }

@@ -24,7 +24,7 @@ from .kernel import KernelConfig, array_hash, kernel_diag, kernel_matrix
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class FitError(Exception):
@@ -141,26 +141,22 @@ def predict(
     X_test: np.ndarray,
     delta: float = 0.95,
     layout_hash: str | None = None,
-    literal_interval: bool = False,
-    count_space_cov: bool = False,
     predictive_noise: bool = False,
 ) -> Prediction:
     """Predictive mean/variance plus interval, CoV and count-space estimate.
 
     Parameters
     ----------
+    delta : float
+        Coverage of the central interval mean +- z * std; must lie in (0, 1).
     layout_hash : str, optional
         When given, must match the hash recorded at fit time.
-    literal_interval : bool
-        Use the un-rooted variance for the interval half-width instead of the
-        standard deviation (kept for A/B comparison; off by default).
-    count_space_cov : bool
-        Report the lognormal count-space CoV sqrt(exp(var) - 1) instead of
-        the log-space sqrt(var)/|mean|.
     predictive_noise : bool
         Add the observation noise to the returned variances (default reports
         the latent-function variance).
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if layout_hash is not None and estimator.layout_hash and layout_hash != estimator.layout_hash:
         raise ModelIOError(
             f"encoding layout mismatch: model was trained with {estimator.layout_hash}, "
@@ -187,37 +183,21 @@ def predict(
     if predictive_noise:
         var = var + config.noise_sq
 
-    ci_low, ci_high = _interval(mean, var, delta, literal_interval)
-    cov = _coefficient_of_variation(mean, var, count_space_cov)
+    ci_low, ci_high = _interval(mean, var, delta)
+    cov = _coefficient_of_variation(mean, var)
     card = np.maximum(1.0, np.exp(np.minimum(mean, 700.0)))
     return Prediction(mean, var, ci_low, ci_high, cov, card, delta)
 
 
-def _interval(mean, var, delta, literal):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+def _interval(mean, var, delta):
     q = float(ndtri((1.0 + delta) / 2.0))
-    half = q * (var if literal else np.sqrt(var))
+    half = q * np.sqrt(var)
     return mean - half, mean + half
 
 
-def _coefficient_of_variation(mean, var, count_space):
-    if count_space:
-        return np.sqrt(np.expm1(var))
+def _coefficient_of_variation(mean, var):
     with np.errstate(divide="ignore"):
         return np.where(mean != 0.0, np.sqrt(var) / np.abs(mean), np.inf)
-
-
-def confidence_interval(
-    prediction: Prediction, delta: float, literal_interval: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central delta-interval bounds in log-count space."""
-    return _interval(prediction.mean_log, prediction.var_log, delta, literal_interval)
-
-
-def coefficient_of_variation(prediction: Prediction, count_space: bool = False) -> np.ndarray:
-    """Uncertainty score: predictive std normalized by |mean| (inf when mean=0)."""
-    return _coefficient_of_variation(prediction.mean_log, prediction.var_log, count_space)
 
 
 # ---------------------------------------------------------------------------

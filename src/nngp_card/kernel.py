@@ -16,8 +16,8 @@ whose diagonal reduces to sigma_b^2 + sigma_w^2 * Kxx / 2. For Erf the step is
     K(x, x') = sigma_b^2 + sigma_w^2 * (2 / pi)
                * arcsin(2 Kxx' / sqrt((1 + 2 Kxx)(1 + 2 Kx'x'))).
 
-The bias contribution of a shared additive bias term lands on every entry; a
-config flag restores the diagonal-only variant for A/B comparison.
+The bias of a shared additive bias term lands on every entry, diagonal and
+off-diagonal alike, as in the infinite-width limit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class KernelConfig:
     noise_sq: float = 1e-3
     kernel_family: str = "nngp"
     length_scale: float = 1.0
-    bias_all_entries: bool = True
 
     def __post_init__(self):
         if self.sigma_w_sq <= 0:
@@ -93,12 +92,10 @@ def array_hash(arr: np.ndarray) -> str:
 def base_kernel(X: np.ndarray, X2: Optional[np.ndarray], config: KernelConfig) -> np.ndarray:
     """Linear-readout kernel sigma_b^2 + sigma_w^2 <x, x'> / d.
 
-    X2=None means the symmetric same-batch case. Under the diagonal-only bias
-    variant, cross-batch blocks carry no bias term at all.
+    X2=None means the symmetric same-batch case.
     """
     X = np.asarray(X, dtype=np.float64)
-    same = X2 is None
-    X2m = X if same else np.asarray(X2, dtype=np.float64)
+    X2m = X if X2 is None else np.asarray(X2, dtype=np.float64)
     if X.ndim != 2 or X2m.ndim != 2:
         raise KernelError("inputs must be 2-d (n, d_enc) batches")
     if X.shape[1] != X2m.shape[1]:
@@ -107,10 +104,7 @@ def base_kernel(X: np.ndarray, X2: Optional[np.ndarray], config: KernelConfig) -
     if d == 0:
         raise KernelError("feature dimension must be >= 1")
     K = (config.sigma_w_sq / d) * (X @ X2m.T)
-    if config.bias_all_entries:
-        K += config.sigma_b_sq
-    elif same:
-        K[np.diag_indices_from(K)] += config.sigma_b_sq
+    K += config.sigma_b_sq
     return K
 
 
@@ -138,8 +132,7 @@ def relu_layer_step(
     s = np.sqrt(k_xx * k_xpxp)
     theta = np.arccos(np.clip(k_xxp / s, -1.0, 1.0))
     expectation = s / (2.0 * math.pi) * (np.sin(theta) + (math.pi - theta) * np.cos(theta))
-    bias = config.sigma_b_sq if config.bias_all_entries else 0.0
-    return bias + config.sigma_w_sq * expectation
+    return config.sigma_b_sq + config.sigma_w_sq * expectation
 
 
 def erf_kernel_step(
@@ -152,12 +145,10 @@ def erf_kernel_step(
     denom = np.sqrt((1.0 + 2.0 * k_xx) * (1.0 + 2.0 * k_xpxp))
     ratio = np.clip(2.0 * k_xxp / denom, -1.0, 1.0)
     expectation = (2.0 / math.pi) * np.arcsin(ratio)
-    bias = config.sigma_b_sq if config.bias_all_entries else 0.0
-    return bias + config.sigma_w_sq * expectation
+    return config.sigma_b_sq + config.sigma_w_sq * expectation
 
 
 def _diag_step(diag: np.ndarray, config: KernelConfig) -> np.ndarray:
-    # Diagonal entries always receive the bias, in both bias variants.
     if config.activation == "relu":
         return config.sigma_b_sq + config.sigma_w_sq * diag / 2.0
     return config.sigma_b_sq + config.sigma_w_sq * (2.0 / math.pi) * np.arcsin(
@@ -260,10 +251,3 @@ def kernel_matrix(
             K[np.diag_indices_from(K)] += config.noise_sq
         return K
     return nngp_kernel(X, X2, config, include_noise)
-
-
-def add_jitter(K: np.ndarray, rel: float = 1e-8) -> float:
-    """Add rel * mean(diag) to the diagonal in place; returns the value added."""
-    jitter = rel * float(np.mean(np.diagonal(K)))
-    K[np.diag_indices_from(K)] += jitter
-    return jitter

@@ -2,8 +2,9 @@
 
 Counts the tuples of a conjunctive select-join query exactly. Equi-joins go
 through a sort/searchsorted hash-join path, theta-joins through filtered
-cross products; both paths produce identical counts and can be forced for
-differential testing.
+cross products; both paths produce identical counts, and the "nested"
+strategy runs filtered cross products everywhere as the differential-testing
+reference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .relstore import CategoricalType, Relation, SchemaCatalog, split_ref
 # real executor. Exceeding this is almost certainly a malformed workload.
 MAX_INTERMEDIATE = 20_000_000
 
-_STRATEGIES = ("auto", "hash", "nested")
+_STRATEGIES = ("auto", "nested")
 
 
 class OracleError(Exception):
@@ -38,8 +39,8 @@ def execute(query: Query, catalog: SchemaCatalog, strategy: str = "auto") -> int
     catalog : SchemaCatalog
     strategy : str
         "auto" uses a hash join whenever an equality condition links the next
-        relation, "hash" requires it, "nested" forces filtered cross products
-        everywhere (the differential-testing path).
+        relation; "nested" forces filtered cross products everywhere (the
+        differential-testing path).
 
     Empty results return 0; they are not an error.
     """
@@ -210,8 +211,6 @@ def _join_step(
             if cond.op == "=":
                 equi = cond
                 break
-    if strategy == "hash" and equi is None:
-        raise OracleError(f"no equality condition available to hash-join {name}")
 
     if equi is not None:
         p_pos, r_pos = _hash_join_pairs(equi, catalog, name, partial, rows)

@@ -7,8 +7,10 @@ read-only), so they can be shared freely across worker threads.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -167,6 +169,12 @@ def split_ref(ref: str) -> tuple[str, str]:
     return rel, attr
 
 
+def stable_hash(obj) -> str:
+    """Short sha256 of the canonical JSON form of a JSON-compatible object."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class SchemaCatalog:
     """The query universe: relations (ordered by name) plus joinable attribute pairs.
@@ -241,6 +249,11 @@ class SchemaCatalog:
                     cols[attr] = {"kind": "categorical", "values": list(ctype.values)}
             rels.append({"name": rel.name, "columns": cols, "n_rows": rel.n_rows})
         return {"relations": rels, "join_pairs": [list(p) for p in self.join_pairs]}
+
+    @cached_property
+    def content_hash(self) -> str:
+        """`stable_hash` of `describe()`, computed once: the catalog is immutable."""
+        return stable_hash(self.describe())
 
 
 def register_join_pair(catalog: SchemaCatalog, left: str, right: str) -> SchemaCatalog:

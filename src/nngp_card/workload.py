@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,9 +120,8 @@ def gen_join(
     n: int,
     seed: int,
     conds_per_relation: int = 1,
-    join_op: str = "=",
 ) -> list[Query]:
-    """n join queries built by a t-step walk over the catalog's join graph.
+    """n equi-join queries built by a t-step walk over the catalog's join graph.
 
     Each step adds one unused join-graph edge incident to the already-visited
     relation set (uniformly chosen), so chains, stars and cycle-closing edges
@@ -161,7 +160,7 @@ def gen_join(
             left, right = catalog.join_pairs[pick]
             visited.add(split_ref(left)[0])
             visited.add(split_ref(right)[0])
-        joins = tuple(JoinCondition(p, join_op) for p in sorted(used))
+        joins = tuple(JoinCondition(p, "=") for p in sorted(used))
 
         join_attrs = set()
         for p in used:
@@ -209,11 +208,10 @@ def split(
     workload: LabeledWorkload,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
     seed: int = 0,
-    strata_key: Callable[[WorkloadItem], int] | None = None,
 ) -> tuple[LabeledWorkload, LabeledWorkload, LabeledWorkload, dict]:
     """Stratified (train, valid, test) partition plus a machine-readable report.
 
-    Strata default to the query's total condition count. Within each stratum
+    Strata are the query's total condition count. Within each stratum
     the fractions are honoured up to rounding via cumulative boundaries, so
     the partition is exact and disjoint. Strata smaller than 3 queries go
     wholly to train and are reported.
@@ -222,11 +220,10 @@ def split(
         raise WorkloadError("fractions must be a (train, valid, test) triple")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise WorkloadError(f"fractions {fractions} must be non-negative and sum to 1")
-    key = strata_key or (lambda item: item.query.n_conditions)
 
     strata: dict[int, list[int]] = {}
     for idx, item in enumerate(workload.items):
-        strata.setdefault(key(item), []).append(idx)
+        strata.setdefault(item.query.n_conditions, []).append(idx)
 
     rng = np.random.default_rng(seed)
     buckets: tuple[list[int], list[int], list[int]] = ([], [], [])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nngp_card import cli
+from nngp_card.kernel import KernelConfig
 from nngp_card.workload import load_workload
 
 SPEC = {
@@ -204,13 +205,18 @@ class TestGuards:
     def test_unknown_config_key_rejected(self, pipeline_dir, tmp_path, capsys):
         root, _ = pipeline_dir
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"kernel": {"sigma_w_sq": 1.0, "misspelled": 2}}', encoding="utf-8")
-        code = cli.main([
-            "train", "--encoded", str(root / "enc.train.bin"),
-            "--model", str(tmp_path / "m.bin"), "--config", str(cfg),
-        ])
-        assert code == 1
-        assert "unknown kernel config keys" in capsys.readouterr().err
+        cases = [
+            ('{"kernel": {"sigma_w_sq": 1.0, "misspelled": 2}}', "unknown kernel config keys"),
+            ('{"encoder": {"normalize": true}}', "unknown encoder config keys"),
+        ]
+        for doc, message in cases:
+            cfg.write_text(doc, encoding="utf-8")
+            code = cli.main([
+                "train", "--encoded", str(root / "enc.train.bin"),
+                "--model", str(tmp_path / "m.bin"), "--config", str(cfg),
+            ])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_unknown_config_section_rejected(self, pipeline_dir, tmp_path, capsys):
         root, _ = pipeline_dir
@@ -263,13 +269,28 @@ class TestGuards:
 
     def test_threads_env_must_be_integer(self, pipeline_dir, tmp_path, monkeypatch, capsys):
         root, catalog = pipeline_dir
-        monkeypatch.setenv(cli.THREADS_ENV, "lots")
-        code = cli.main([
+        label = [
             "label", "--catalog", str(catalog), "--queries", str(root / "qs.jsonl"),
             "--out", str(tmp_path / "x.jsonl"),
-        ])
-        assert code == 1
-        assert "not an integer" in capsys.readouterr().err
+        ]
+        cases = [
+            ("lots", [], "not an integer"),
+            ("0", [], "must be >= 1"),
+            ("-5", [], "must be >= 1"),
+            (None, ["--threads", "0"], "must be >= 1"),
+            (None, ["--threads", "-2"], "must be >= 1"),
+        ]
+        for env, flags, message in cases:
+            if env is None:
+                monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.THREADS_ENV, env)
+            assert cli.main(label + flags) == 1, (env, flags)
+            assert message in capsys.readouterr().err
+
+    def test_kernel_flags_cover_config_fields(self):
+        # a KernelConfig field without a flag is a knob no CLI user can set
+        assert {name for name, _ in cli._KERNEL_FLAGS} == set(KernelConfig.__dataclass_fields__)
 
 
 class TestActiveLearnCommand:

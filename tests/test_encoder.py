@@ -1,12 +1,13 @@
 """Feature encoding: layout widths, normalization, bitmaps, join bits, files."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nngp_card.encoder import (
     EncodingError,
     build_layout,
-    denormalize_features,
     encode,
     encode_batch,
     load_encoded,
@@ -202,7 +203,10 @@ class TestNormalization:
         catalog, layout = setup
         rng = np.random.default_rng(0)
         raw = rng.integers(0, 256, size=(5, layout.dim)).astype(float)
-        assert np.allclose(denormalize_features(normalize_features(raw, layout), layout), raw)
+        normed = normalize_features(raw, layout)
+        slots = layout.factorized_slots()
+        normed[:, slots] *= 2**8 - 1
+        assert np.allclose(normed, raw)
 
     def test_non_factorized_slots_untouched(self, setup):
         catalog, layout = setup
@@ -280,9 +284,11 @@ class TestEncodedFile:
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "enc.bin"
-        path.write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(EncodingError, match="unexpected format"):
-            load_encoded(path)
+        # v1 files may hold unnormalized factorized slots
+        for fmt in ("other", "nngp-card-encoded-v1"):
+            path.write_bytes(json.dumps({"format": fmt}).encode() + b"\n")
+            with pytest.raises(EncodingError, match="unexpected format"):
+                load_encoded(path)
 
     def test_layout_hash_differs_when_chunk_size_differs(self):
         rel = categorical_relation("r", 20)

@@ -130,8 +130,8 @@ class TestSpearman:
 def _prediction(mean, var, cards):
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    lo, hi = gp._interval(mean, var, 0.95, False)
-    cov = gp._coefficient_of_variation(mean, var, False)
+    lo, hi = gp._interval(mean, var, 0.95)
+    cov = gp._coefficient_of_variation(mean, var)
     return gp.Prediction(mean, var, lo, hi, cov, np.asarray(cards, dtype=float), 0.95)
 
 

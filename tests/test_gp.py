@@ -1,5 +1,7 @@
 """Exact GP regression: inference identities, intervals, CoV, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -163,20 +165,6 @@ class TestPredict:
         noisy = gp.predict(est, Xt, predictive_noise=True).var_log
         np.testing.assert_allclose(noisy - latent, 0.2, atol=1e-12)
 
-    def test_predict_level_variant_flags(self, small_data):
-        X, y = small_data
-        est = gp.fit(X, y, KernelConfig(noise_sq=0.1))
-        Xt = X[:4] + 0.02
-        base = gp.predict(est, Xt)
-        literal = gp.predict(est, Xt, literal_interval=True)
-        np.testing.assert_allclose(
-            literal.ci_high - literal.mean_log,
-            (base.ci_high - base.mean_log) * np.sqrt(base.var_log),
-            atol=1e-12,
-        )
-        count_cov = gp.predict(est, Xt, count_space_cov=True).cov
-        np.testing.assert_allclose(count_cov, np.sqrt(np.expm1(base.var_log)), atol=1e-12)
-
     def test_rbf_family_trains_and_interpolates(self, small_data):
         X, y = small_data
         cfg = KernelConfig(kernel_family="rbf", length_scale=0.8, noise_sq=0.0)
@@ -190,48 +178,43 @@ class TestIntervalAndCov:
     def _pred(self, mean, var, delta=0.95):
         mean = np.asarray(mean, dtype=float)
         var = np.asarray(var, dtype=float)
-        lo, hi = gp._interval(mean, var, delta, False)
-        cov = gp._coefficient_of_variation(mean, var, False)
+        lo, hi = gp._interval(mean, var, delta)
+        cov = gp._coefficient_of_variation(mean, var)
         card = np.maximum(1.0, np.exp(mean))
         return gp.Prediction(mean, var, lo, hi, cov, card, delta)
 
     def test_zero_variance_degenerate_interval(self):
         pred = self._pred([2.0], [0.0])
-        lo, hi = gp.confidence_interval(pred, 0.95)
-        assert lo[0] == hi[0] == 2.0
+        assert pred.ci_low[0] == pred.ci_high[0] == 2.0
 
     def test_unit_variance_quantile(self):
         # frozen standard-normal quantile for the central 95% interval
         pred = self._pred([0.0], [1.0])
-        lo, hi = gp.confidence_interval(pred, 0.95)
-        assert hi[0] == pytest.approx(1.959963985, abs=1e-8)
-        assert lo[0] == pytest.approx(-1.959963985, abs=1e-8)
+        assert pred.ci_high[0] == pytest.approx(1.959963985, abs=1e-8)
+        assert pred.ci_low[0] == pytest.approx(-1.959963985, abs=1e-8)
 
     def test_width_strictly_increases_with_variance(self):
-        pred = self._pred([0.0, 0.0, 0.0], [0.1, 0.5, 2.0])
-        lo, hi = gp.confidence_interval(pred, 0.9)
-        widths = hi - lo
+        pred = self._pred([0.0, 0.0, 0.0], [0.1, 0.5, 2.0], delta=0.9)
+        widths = pred.ci_high - pred.ci_low
         assert np.all(np.diff(widths) > 0)
 
-    def test_literal_interval_uses_unrooted_variance(self):
-        pred = self._pred([0.0], [4.0])
-        lo, hi = gp.confidence_interval(pred, 0.95, literal_interval=True)
-        lo_rooted, hi_rooted = gp.confidence_interval(pred, 0.95)
-        assert hi[0] == pytest.approx(2.0 * hi_rooted[0])
-
-    def test_delta_validated(self):
-        pred = self._pred([0.0], [1.0])
-        with pytest.raises(ValueError):
-            gp.confidence_interval(pred, 1.5)
+    def test_delta_validated(self, small_data):
+        X, y = small_data
+        est = gp.fit(X, y, KernelConfig())
+        # the empty batch takes an early return, which must not skip the check
+        for X_test in (X[:2], np.zeros((0, X.shape[1]))):
+            for delta in (1.5, 0.0, 1.0):
+                with pytest.raises(ValueError, match="delta"):
+                    gp.predict(est, X_test, delta=delta)
 
     def test_cov_zero_variance(self):
-        assert gp.coefficient_of_variation(self._pred([3.0], [0.0]))[0] == 0.0
+        assert self._pred([3.0], [0.0]).cov[0] == 0.0
 
     def test_cov_formula(self):
-        assert gp.coefficient_of_variation(self._pred([2.0], [4.0]))[0] == pytest.approx(1.0)
+        assert self._pred([2.0], [4.0]).cov[0] == pytest.approx(1.0)
 
     def test_cov_infinite_at_zero_mean(self):
-        assert np.isinf(gp.coefficient_of_variation(self._pred([0.0], [1.0]))[0])
+        assert np.isinf(self._pred([0.0], [1.0]).cov[0])
 
     def test_cov_ranking_matches_recomputation(self):
         rng = np.random.default_rng(8)
@@ -240,11 +223,6 @@ class TestIntervalAndCov:
         pred = self._pred(mean, var)
         ref = np.sqrt(var) / np.abs(mean)
         assert np.array_equal(np.argsort(pred.cov), np.argsort(ref))
-
-    def test_count_space_cov_variant(self):
-        pred = self._pred([2.0], [0.5])
-        cs = gp.coefficient_of_variation(pred, count_space=True)
-        assert cs[0] == pytest.approx(np.sqrt(np.expm1(0.5)))
 
 
 class TestPersistence:
@@ -274,6 +252,10 @@ class TestPersistence:
         path = tmp_path / "model.bin"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ModelIOError, match="not a model file"):
+            gp.load(path)
+        # version-1 configs hold a kernel key that KernelConfig no longer has
+        path.write_bytes(json.dumps({"format": gp.MODEL_FORMAT, "version": 1}).encode() + b"\n")
+        with pytest.raises(ModelIOError, match="unsupported model version"):
             gp.load(path)
 
     def test_layout_hash_guard_at_predict(self, tmp_path, small_data):

@@ -9,7 +9,6 @@ from nngp_card.diagnostics import mc_activation_expectations, random_psd_case
 from nngp_card.kernel import (
     KernelConfig,
     KernelError,
-    add_jitter,
     base_kernel,
     erf_kernel_step,
     kernel_diag,
@@ -50,6 +49,7 @@ class TestBaseKernel:
         cfg = KernelConfig(sigma_w_sq=2.0, sigma_b_sq=0.3)
         X = np.zeros((2, 4))
         assert np.allclose(base_kernel(X, None, cfg), 0.3)
+        assert np.allclose(base_kernel(X, np.zeros((3, 4)), cfg), 0.3)
 
     def test_unit_norm_self_similarity(self):
         cfg = KernelConfig(sigma_w_sq=1.0, sigma_b_sq=0.0)
@@ -71,13 +71,6 @@ class TestBaseKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(KernelError, match="differ"):
             base_kernel(np.zeros((2, 3)), np.zeros((2, 4)), KernelConfig())
-
-    def test_diagonal_only_bias_variant(self):
-        cfg = KernelConfig(sigma_b_sq=0.5, bias_all_entries=False)
-        X = np.zeros((3, 2))
-        K = base_kernel(X, None, cfg)
-        assert np.allclose(np.diag(K), 0.5)
-        assert np.allclose(K - np.diag(np.diag(K)), 0.0)
 
 
 class TestReluStep:
@@ -110,13 +103,6 @@ class TestReluStep:
         k = 0.7
         val = relu_layer_step(k, k * (1 + 1e-15), k, cfg)
         assert val == pytest.approx(2.0 * k / 2.0, rel=1e-12)
-
-    def test_diagonal_only_bias_variant_drops_bias_off_diagonal(self):
-        cfg = KernelConfig(sigma_w_sq=1.2, sigma_b_sq=0.4, bias_all_entries=False)
-        k = 0.9
-        # the step output is an off-diagonal entry under the literal variant
-        assert relu_layer_step(k, k, k, cfg) == pytest.approx(1.2 * k / 2.0, rel=1e-12)
-        assert erf_kernel_step(1.0, 0.0, 1.0, cfg) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestErfStep:
@@ -222,7 +208,7 @@ class TestDepthRecursion:
             X = rng.uniform(0, 1, (n, d))
             cfg = KernelConfig(depth=int(rng.integers(0, 4)), noise_sq=0.0)
             K = nngp_kernel(X, None, cfg, include_noise=False)
-            add_jitter(K, 1e-8)
+            K[np.diag_indices_from(K)] += 1e-8 * np.mean(np.diagonal(K))
             min_eig = float(np.linalg.eigvalsh(K)[0])
             assert min_eig >= -1e-8 * np.trace(K) / n
 

@@ -58,12 +58,7 @@ class TestJoins:
                 q.validate(catalog)
             except QueryError:
                 continue
-            assert execute(q, catalog, "hash") == execute(q, catalog, "nested")
-
-    def test_hash_strategy_requires_equality(self, two_relation_catalog):
-        q = Query(("r1", "r2"), joins=(JoinCondition(0, "<"),))
-        with pytest.raises(OracleError, match="hash-join"):
-            execute(q, two_relation_catalog, "hash")
+            assert execute(q, catalog, "auto") == execute(q, catalog, "nested")
 
     def test_self_join_via_rename_matches_physical_copy(self):
         base = make_relation("s1", numeric=[1.0, 2.0, 2.0, 5.0])
@@ -77,8 +72,9 @@ class TestJoins:
         assert execute(q, catalog) == execute(q, catalog_copy) == 6  # 1+4+1
 
     def test_unknown_strategy(self, two_relation_catalog):
-        with pytest.raises(OracleError, match="strategy"):
-            execute(Query(("r1",)), two_relation_catalog, "magic")
+        for strategy in ("magic", "hash"):
+            with pytest.raises(OracleError, match="strategy"):
+                execute(Query(("r1",)), two_relation_catalog, strategy)
 
 
 class TestDifferential:
