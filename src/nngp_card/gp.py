@@ -3,6 +3,9 @@
 Training factorizes the (noise-augmented) train-train kernel once with a
 Cholesky decomposition; prediction is then a linear smoother over the
 training targets plus a triangular solve for the predictive variance.
+The factorization runs in place, so the factor occupies the kernel's own
+n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
+fails has consumed that buffer, so the next rung rebuilds the kernel.
 Targets are natural logs of cardinalities; point estimates return to count
 space as max(1, exp(mean)).
 """
@@ -10,13 +13,14 @@ space as max(1, exp(mean)).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.special import ndtri
 
-from .kernel import KernelConfig, array_hash, kernel_diag, kernel_matrix
+from .kernel import KernelConfig, array_hash, kernel_diag, kernel_matrix, row_blocks
 
 # Relative jitter escalation before a factorization failure is declared.
 # The first attempt adds nothing: a numerically PD kernel keeps the exact
@@ -24,7 +28,7 @@ from .kernel import KernelConfig, array_hash, kernel_diag, kernel_matrix
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 class FitError(Exception):
@@ -39,7 +43,8 @@ class ModelIOError(Exception):
 class CardinalityEstimator:
     """Immutable trained state; safe for concurrent predict calls.
 
-    `chol` is the lower factor of K + noise*I (+ jitter), `alpha` solves
+    `chol` is the lower factor of K + noise*I (+ jitter), in Fortran order
+    and in the memory the kernel was built in; `alpha` solves
     (K + noise*I) alpha = y_log.
     """
 
@@ -85,10 +90,10 @@ def fit(
 ) -> CardinalityEstimator:
     """Factorize the train-train kernel and solve for the smoother weights.
 
-    The Cholesky is first attempted on the kernel as-is; on failure a
-    relative jitter escalates through `JITTER_LADDER` before a FitError
-    (with conditioning diagnostics) is raised. O(N^3), computed once;
-    deterministic.
+    The Cholesky is first attempted on the kernel as-is; on failure the
+    kernel is rebuilt with a relative jitter, escalating through
+    `JITTER_LADDER`, before a FitError (with conditioning diagnostics of the
+    unfactorized kernel) is raised. O(N^3), computed once; deterministic.
     """
     X_train = np.ascontiguousarray(X_train, dtype=np.float64)
     y_log = np.ascontiguousarray(y_log, dtype=np.float64)
@@ -103,16 +108,17 @@ def fit(
 
     K = kernel_matrix(X_train, None, config)  # noise included on the diagonal
     mean_diag = float(np.mean(np.diagonal(K)))
-    applied = 0.0
-    ladder = JITTER_LADDER
     last_error = None
-    for rel in ladder:
-        increment = rel * mean_diag - applied
-        if increment > 0:
-            K[np.diag_indices_from(K)] += increment
-            applied = rel * mean_diag
+    for rung, rel in enumerate(JITTER_LADDER):
+        if rung:  # the failed factorization consumed the buffer
+            K = kernel_matrix(X_train, None, config)
+        jitter = rel * mean_diag
+        if jitter:
+            K[np.diag_indices_from(K)] += jitter
         try:
-            L = cholesky(K, lower=True, check_finite=False)
+            # K is symmetric, so K.T is the same matrix in Fortran order and
+            # LAPACK factors it in place: the factor takes the kernel's memory.
+            L = cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             last_error = exc
             continue
@@ -125,14 +131,27 @@ def fit(
             alpha=alpha,
             config=config,
             layout_hash=layout_hash,
-            jitter=applied,
+            jitter=jitter,
         )
-    diag = np.diagonal(K)
     raise FitError(
         "kernel factorization failed after jitter escalation "
-        f"(tried relative jitters {ladder}); diagnostics: n={len(K)}, "
-        f"mean diag={mean_diag:.3e}, min diag={diag.min():.3e}, "
-        f"max |offdiag|={np.abs(K - np.diag(diag)).max():.3e}: {last_error}"
+        f"(tried relative jitters {JITTER_LADDER}); diagnostics: "
+        f"{_conditioning(kernel_matrix(X_train, None, config))}: {last_error}"
+    )
+
+
+def _conditioning(K: np.ndarray) -> str:
+    """Size and diagonal/off-diagonal scale of a kernel, read block by block."""
+    n = len(K)
+    diag = np.diagonal(K)
+    offdiag = 0.0
+    for lo, hi in row_blocks(n, n):
+        block = np.abs(K[lo:hi])
+        block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        offdiag = max(offdiag, float(block.max()))
+    return (
+        f"n={n}, mean diag={diag.mean():.3e}, min diag={diag.min():.3e}, "
+        f"max |offdiag|={offdiag:.3e}"
     )
 
 
@@ -205,9 +224,23 @@ def _coefficient_of_variation(mean, var):
 # ---------------------------------------------------------------------------
 
 
+# (estimator field, header key of its hash, name in errors), in file order
+_PAYLOADS = (
+    ("X_train", "train_hash", "training-feature"),
+    ("y_log", "target_hash", "target"),
+    ("chol", "chol_hash", "Cholesky-factor"),
+    ("alpha", "alpha_hash", "smoother-weight"),
+)
+
+
 def save(estimator: CardinalityEstimator, path) -> None:
-    """Serialize the trained state; `load` + `predict` round-trips exactly."""
+    """Serialize the trained state; `load` + `predict` round-trips exactly.
+
+    Every payload is hashed in the very buffer that is written, so the n x n
+    Fortran-order factor is made C-contiguous once.
+    """
     n, d = estimator.X_train.shape
+    buffers = [np.ascontiguousarray(getattr(estimator, field), dtype="<f8") for field, _, _ in _PAYLOADS]
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -216,16 +249,17 @@ def save(estimator: CardinalityEstimator, path) -> None:
         "n": n,
         "d_enc": d,
         "jitter": estimator.jitter,
-        "train_hash": array_hash(estimator.X_train),
-        "target_hash": array_hash(estimator.y_log),
     }
+    for (_, key, _), buf in zip(_PAYLOADS, buffers):
+        header[key] = array_hash(buf)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for arr in (estimator.X_train, estimator.y_log, estimator.chol, estimator.alpha):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for buf in buffers:
+            fh.write(buf)
 
 
 def load(path) -> CardinalityEstimator:
+    """Read a model file; every payload must match its recorded hash."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -237,32 +271,21 @@ def load(path) -> CardinalityEstimator:
             raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
         payload = fh.read()
     n, d = int(header["n"]), int(header["d_enc"])
+    shapes = {"X_train": (n, d), "y_log": (n,), "chol": (n, n), "alpha": (n,)}
     expected = (n * d + n + n * n + n) * 8
     if len(payload) != expected:
         raise ModelIOError(f"{path}: payload has {len(payload)} bytes, expected {expected} (truncated?)")
-    pos = 0
-
-    def take(count, shape):
-        nonlocal pos
-        arr = np.frombuffer(payload[pos : pos + count * 8], dtype="<f8").reshape(shape).copy()
+    arrays, pos = {}, 0
+    for field, key, what in _PAYLOADS:
+        count = math.prod(shapes[field])
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=pos).reshape(shapes[field]).copy()
         pos += count * 8
-        return arr
-
-    X_train = take(n * d, (n, d))
-    y_log = take(n, (n,))
-    chol = take(n * n, (n, n))
-    alpha = take(n, (n,))
-    estimator = CardinalityEstimator(
-        X_train=X_train,
-        y_log=y_log,
-        chol=chol,
-        alpha=alpha,
+        if array_hash(arr) != header.get(key):
+            raise ModelIOError(f"{path}: {what} payload does not match its recorded hash")
+        arrays[field] = arr
+    return CardinalityEstimator(
+        **arrays,
         config=KernelConfig.from_dict(header["config"]),
         layout_hash=header.get("layout_hash", ""),
         jitter=float(header.get("jitter", 0.0)),
     )
-    if array_hash(X_train) != header.get("train_hash"):
-        raise ModelIOError(f"{path}: training-feature payload does not match its recorded hash")
-    if array_hash(y_log) != header.get("target_hash"):
-        raise ModelIOError(f"{path}: target payload does not match its recorded hash")
-    return estimator

@@ -5,11 +5,11 @@ The network kernel starts from the linear-readout base case
     K0(x, x') = sigma_b^2 + sigma_w^2 * <x, x'> / d
 
 and applies one closed-form step per hidden layer. For ReLU the step is the
-first-order arc-cosine form
+first-order arc-cosine form, written in the cosine c = cos(theta):
 
     K(x, x') = sigma_b^2 + sigma_w^2 / (2 pi) * sqrt(Kxx * Kx'x')
-               * (sin(theta) + (pi - theta) * cos(theta)),
-    theta = arccos(Kxx' / sqrt(Kxx * Kx'x')),
+               * (sqrt(1 - c^2) + (pi - arccos(c)) * c),
+    c = Kxx' / sqrt(Kxx * Kx'x'),
 
 whose diagonal reduces to sigma_b^2 + sigma_w^2 * Kxx / 2. For Erf the step is
 
@@ -18,6 +18,13 @@ whose diagonal reduces to sigma_b^2 + sigma_w^2 * Kxx / 2. For Erf the step is
 
 The bias of a shared additive bias term lands on every entry, diagonal and
 off-diagonal alike, as in the infinite-width limit.
+
+Given the per-layer diagonals, which follow their own recurrence, every
+layer step is elementwise. A kernel matrix is therefore built in row blocks
+of a fixed number of entries: each block gets its base values and then every
+depth layer, in place, while it is in cache. A same-batch matrix computes
+only its lower-triangular blocks and mirrors each one, so a build allocates
+one n x m output and block-sized scratch, nothing more.
 """
 
 from __future__ import annotations
@@ -29,7 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-_ROW_CHUNK = 2048  # bounds temporary memory in the layer steps
+# Entries per row block of a kernel build. The block and the three scratch
+# arrays of the ReLU step (4 MiB in all) stay in a core's L2 cache while every
+# depth layer runs over them. On a 2-core Xeon with one BLAS thread, 2^17
+# built N=2300 and N=8000 kernels faster than 2^18 or 2^19.
+_BLOCK_ELEMS = 1 << 17
 
 
 class KernelError(Exception):
@@ -80,7 +91,7 @@ def array_hash(arr: np.ndarray) -> str:
     """Short content hash of an array (shape-sensitive)."""
     h = hashlib.sha256()
     h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(arr, dtype=np.float64))
     return h.hexdigest()[:16]
 
 
@@ -89,21 +100,26 @@ def array_hash(arr: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _batches(X: np.ndarray, X2: Optional[np.ndarray]) -> tuple:
+    """Validated float64 (n, d) and (m, d) batches; X2=None repeats X."""
+    X = np.asarray(X, dtype=np.float64)
+    X2 = X if X2 is None else np.asarray(X2, dtype=np.float64)
+    if X.ndim != 2 or X2.ndim != 2:
+        raise KernelError("inputs must be 2-d (n, d_enc) batches")
+    if X.shape[1] != X2.shape[1]:
+        raise KernelError(f"feature dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
+    if X.shape[1] == 0:
+        raise KernelError("feature dimension must be >= 1")
+    return X, X2
+
+
 def base_kernel(X: np.ndarray, X2: Optional[np.ndarray], config: KernelConfig) -> np.ndarray:
     """Linear-readout kernel sigma_b^2 + sigma_w^2 <x, x'> / d.
 
     X2=None means the symmetric same-batch case.
     """
-    X = np.asarray(X, dtype=np.float64)
-    X2m = X if X2 is None else np.asarray(X2, dtype=np.float64)
-    if X.ndim != 2 or X2m.ndim != 2:
-        raise KernelError("inputs must be 2-d (n, d_enc) batches")
-    if X.shape[1] != X2m.shape[1]:
-        raise KernelError(f"feature dimensions differ: {X.shape[1]} vs {X2m.shape[1]}")
-    d = X.shape[1]
-    if d == 0:
-        raise KernelError("feature dimension must be >= 1")
-    K = (config.sigma_w_sq / d) * (X @ X2m.T)
+    X, X2 = _batches(X, X2)
+    K = (config.sigma_w_sq / X.shape[1]) * (X @ X2.T)
     K += config.sigma_b_sq
     return K
 
@@ -120,19 +136,16 @@ def relu_layer_step(
     """One ReLU-layer update of cross-covariance entries (vectorized).
 
     Takes the previous layer's variances k_xx, k_xpxp and covariance k_xxp
-    (broadcastable shapes) and returns the next layer's covariance. The
-    cosine is clamped into [-1, 1] to absorb floating-point drift on
-    near-identical inputs.
+    (broadcastable shapes) and returns the next layer's covariance, computed
+    by the same in-place step that builds kernel matrices.
     """
     k_xx = np.asarray(k_xx, dtype=np.float64)
     k_xpxp = np.asarray(k_xpxp, dtype=np.float64)
-    k_xxp = np.asarray(k_xxp, dtype=np.float64)
     if np.any(k_xx <= 0) or np.any(k_xpxp <= 0):
         raise KernelError("relu layer step requires strictly positive variances")
-    s = np.sqrt(k_xx * k_xpxp)
-    theta = np.arccos(np.clip(k_xxp / s, -1.0, 1.0))
-    expectation = s / (2.0 * math.pi) * (np.sin(theta) + (math.pi - theta) * np.cos(theta))
-    return config.sigma_b_sq + config.sigma_w_sq * expectation
+    K = _broadcast_copy(k_xx, k_xxp, k_xpxp)
+    _relu_step(K, k_xx, k_xpxp, config, [np.empty_like(K) for _ in range(3)])
+    return K
 
 
 def erf_kernel_step(
@@ -141,11 +154,50 @@ def erf_kernel_step(
     """One Erf-layer update of cross-covariance entries (vectorized)."""
     k_xx = np.asarray(k_xx, dtype=np.float64)
     k_xpxp = np.asarray(k_xpxp, dtype=np.float64)
-    k_xxp = np.asarray(k_xxp, dtype=np.float64)
-    denom = np.sqrt((1.0 + 2.0 * k_xx) * (1.0 + 2.0 * k_xpxp))
-    ratio = np.clip(2.0 * k_xxp / denom, -1.0, 1.0)
-    expectation = (2.0 / math.pi) * np.arcsin(ratio)
-    return config.sigma_b_sq + config.sigma_w_sq * expectation
+    K = _broadcast_copy(k_xx, k_xxp, k_xpxp)
+    _erf_step(K, k_xx, k_xpxp, config)
+    return K
+
+
+def _broadcast_copy(k_xx, k_xxp, k_xpxp) -> np.ndarray:
+    shape = np.broadcast_shapes(np.shape(k_xx), np.shape(k_xxp), np.shape(k_xpxp))
+    return np.array(np.broadcast_to(np.asarray(k_xxp, dtype=np.float64), shape))
+
+
+def _relu_step(K, k_xx, k_xpxp, config, scratch) -> None:
+    """Arc-cosine step in place on K, with three scratch arrays of K's shape.
+
+    With s = sqrt(Kxx Kx'x') and c = cos(theta) = K / s clamped into [-1, 1]
+    (absorbing floating-point drift on near-identical inputs), the
+    expectation is s / (2 pi) * (sqrt((1 - c)(1 + c)) + (pi - arccos c) c).
+    """
+    s, t, u = scratch
+    np.multiply(k_xx, k_xpxp, out=s)
+    np.sqrt(s, out=s)
+    K /= s
+    np.clip(K, -1.0, 1.0, out=K)
+    np.arccos(K, out=t)
+    np.subtract(math.pi, t, out=t)
+    t *= K
+    np.subtract(1.0, K, out=u)
+    K += 1.0
+    K *= u
+    np.sqrt(K, out=K)
+    K += t
+    s /= 2.0 * math.pi
+    K *= s
+    K *= config.sigma_w_sq
+    K += config.sigma_b_sq
+
+
+def _erf_step(K, k_xx, k_xpxp, config) -> None:
+    """Erf step in place on K; the arcsin argument is clamped into [-1, 1]."""
+    K *= 2.0 / np.sqrt(1.0 + 2.0 * k_xx)
+    K *= 1.0 / np.sqrt(1.0 + 2.0 * k_xpxp)
+    np.clip(K, -1.0, 1.0, out=K)
+    np.arcsin(K, out=K)
+    K *= (2.0 / math.pi) * config.sigma_w_sq
+    K += config.sigma_b_sq
 
 
 def _diag_step(diag: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -156,28 +208,37 @@ def _diag_step(diag: np.ndarray, config: KernelConfig) -> np.ndarray:
     )
 
 
+def _diag_layers(X: np.ndarray, config: KernelConfig) -> list:
+    """K^l(x, x) for l = 0..depth; each variance a ReLU step divides by is checked."""
+    diags = [base_diag(X, config)]
+    for _ in range(config.depth):
+        if config.activation == "relu" and np.any(diags[-1] <= 0):
+            raise KernelError("non-positive variance encountered in depth recursion")
+        diags.append(_diag_step(diags[-1], config))
+    return diags
+
+
 def kernel_diag(X: np.ndarray, config: KernelConfig) -> np.ndarray:
     """K(x, x) per row, without observation noise."""
     if config.kernel_family == "rbf":
         return np.ones(len(X), dtype=np.float64)
-    diag = base_diag(X, config)
-    for _ in range(config.depth):
-        if config.activation == "relu" and np.any(diag <= 0):
-            raise KernelError("non-positive variance encountered in depth recursion")
-        diag = _diag_step(diag, config)
-    return diag
+    return _diag_layers(X, config)[-1]
 
 
-def _layer_step_matrix(
-    K: np.ndarray, d1: np.ndarray, d2: np.ndarray, config: KernelConfig
-) -> np.ndarray:
-    """Apply one activation-layer step to a full cross matrix, row-chunked."""
-    step = relu_layer_step if config.activation == "relu" else erf_kernel_step
-    out = np.empty_like(K)
-    for lo in range(0, K.shape[0], _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, K.shape[0])
-        out[lo:hi] = step(d1[lo:hi, None], K[lo:hi], d2[None, :], config)
-    return out
+def row_blocks(n_rows: int, n_cols: int):
+    """(lo, hi) row ranges of an n_rows x n_cols matrix, each of at most
+    _BLOCK_ELEMS entries (or one row, if a row is longer)."""
+    rows = max(1, _BLOCK_ELEMS // max(n_cols, 1))
+    for lo in range(0, n_rows, rows):
+        yield lo, min(lo + rows, n_rows)
+
+
+def _mirror_block(K: np.ndarray, lo: int, hi: int) -> None:
+    """Copy the lower triangle of rows lo:hi onto the matching upper triangle."""
+    K[:lo, lo:hi] = K[lo:hi, :lo].T
+    square = K[lo:hi, lo:hi]
+    upper = np.triu_indices(hi - lo, 1)
+    square[upper] = square.T[upper]
 
 
 def nngp_kernel(
@@ -188,31 +249,43 @@ def nngp_kernel(
 ) -> np.ndarray:
     """Depth-recursed network kernel matrix.
 
-    X2=None computes the symmetric same-batch matrix: the result is mirrored
-    from its lower triangle, the diagonal is taken from the exact diagonal
-    recurrence, and (by default) the observation noise lands on the diagonal.
+    X2=None computes the symmetric same-batch matrix: only the lower-triangular
+    row blocks are computed, each is mirrored in place, the diagonal is taken
+    from the exact diagonal recurrence, and (by default) the observation noise
+    lands on the diagonal.
     Cross matrices never receive noise unless explicitly requested.
     Depth 0 is exactly the base kernel.
     """
     same = X2 is None
     if include_noise is None:
         include_noise = same
-    K = base_kernel(X, X2, config)
-    d1 = base_diag(X, config)
-    d2 = d1 if same else base_diag(np.asarray(X2, dtype=np.float64), config)
-    for _ in range(config.depth):
-        if config.activation == "relu" and (np.any(d1 <= 0) or np.any(d2 <= 0)):
-            raise KernelError("non-positive variance encountered in depth recursion")
-        K = _layer_step_matrix(K, d1, d2, config)
-        d1 = _diag_step(d1, config)
-        d2 = d1 if same else _diag_step(d2, config)
+    X, X2 = _batches(X, X2)
+    n, m = len(X), len(X2)
+    if include_noise and n != m:
+        raise KernelError("noise can only be added to a square same-batch matrix")
+    row_diags = _diag_layers(X, config)
+    col_diags = row_diags if same else _diag_layers(X2, config)
+    relu = config.activation == "relu"
+    K = np.empty((n, m))
+    # room for the largest block: _BLOCK_ELEMS entries, or one row if longer
+    scratch = np.empty((3, min(n * m, max(_BLOCK_ELEMS, m)))) if relu else None
+    for lo, hi in row_blocks(n, m):
+        width = hi if same else m
+        block = K[lo:hi, :width]
+        block[...] = base_kernel(X[lo:hi], X2[:width], config)
+        if relu:
+            block_scratch = [buf[: block.size].reshape(block.shape) for buf in scratch]
+        for depth in range(config.depth):
+            k_xx, k_xpxp = row_diags[depth][lo:hi, None], col_diags[depth][None, :width]
+            if relu:
+                _relu_step(block, k_xx, k_xpxp, config, block_scratch)
+            else:
+                _erf_step(block, k_xx, k_xpxp, config)
+        if same:
+            _mirror_block(K, lo, hi)
     if same:
-        low = np.tril(K)
-        K = low + np.tril(K, -1).T
-        K[np.diag_indices_from(K)] = d1
+        np.fill_diagonal(K, row_diags[-1])
     if include_noise:
-        if K.shape[0] != K.shape[1]:
-            raise KernelError("noise can only be added to a square same-batch matrix")
         K[np.diag_indices_from(K)] += config.noise_sq
     return K
 
@@ -231,9 +304,9 @@ def rbf_kernel(
     d2 = np.maximum(sq1[:, None] + sq2[None, :] - 2.0 * (X @ X2m.T), 0.0)
     K = np.exp(-d2 / (2.0 * length_scale**2))
     if same:
-        low = np.tril(K)
-        K = low + np.tril(K, -1).T
-        K[np.diag_indices_from(K)] = 1.0
+        for lo, hi in row_blocks(len(K), len(K)):
+            _mirror_block(K, lo, hi)
+        np.fill_diagonal(K, 1.0)
     return K
 
 

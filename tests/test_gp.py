@@ -1,6 +1,7 @@
 """Exact GP regression: inference identities, intervals, CoV, persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ class TestFit:
         rebuilt = est.chol @ est.chol.T
         assert np.linalg.norm(rebuilt - K) / np.linalg.norm(K) < 1e-6
         assert np.linalg.norm(K @ est.alpha - y) < 1e-6
+
+    def test_failure_reports_diagnostics_of_the_unfactorized_kernel(self, monkeypatch):
+        builds = []
+
+        def indefinite(*args, **kwargs):
+            builds.append(args)
+            return np.array([[1.0, 2.0], [2.0, 1.0]])
+
+        monkeypatch.setattr(gp, "kernel_matrix", indefinite)
+        with pytest.raises(FitError) as err:
+            gp.fit(np.zeros((2, 3)), np.zeros(2), KernelConfig())
+        message = str(err.value)
+        for part in ("n=2", "mean diag=1.000e+00", "min diag=1.000e+00", "max |offdiag|=2.000e+00"):
+            assert part in message
+        # one build per rung (a failed factorization consumes the buffer),
+        # plus one intact kernel for the diagnostics
+        assert len(builds) == len(gp.JITTER_LADDER) + 1
+
+    def test_fit_holds_one_kernel_sized_buffer(self):
+        n = 3000
+        rng = np.random.default_rng(21)
+        X, y = rng.uniform(0, 1, (n, 12)), rng.uniform(0, 8, n)
+        tracemalloc.start()
+        try:
+            est = gp.fit(X, y, KernelConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.jitter == 0.0
+        assert peak <= 1.5 * 8 * n * n
 
     @pytest.mark.parametrize(
         "X, y, match",
@@ -253,9 +284,30 @@ class TestPersistence:
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ModelIOError, match="not a model file"):
             gp.load(path)
-        # version-1 configs hold a kernel key that KernelConfig no longer has
-        path.write_bytes(json.dumps({"format": gp.MODEL_FORMAT, "version": 1}).encode() + b"\n")
-        with pytest.raises(ModelIOError, match="unsupported model version"):
+        # version-1 configs hold a kernel key that KernelConfig no longer has;
+        # version-2 files carry no hashes of the factor and the weights
+        for version in (1, 2):
+            path.write_bytes(json.dumps({"format": gp.MODEL_FORMAT, "version": version}).encode() + b"\n")
+            with pytest.raises(ModelIOError, match="unsupported model version"):
+                gp.load(path)
+
+    @pytest.mark.parametrize("region", ["chol", "alpha"])
+    def test_flipped_payload_byte_rejected(self, tmp_path, small_data, region):
+        X, y = small_data
+        n, d = X.shape
+        path = tmp_path / "model.bin"
+        gp.save(gp.fit(X, y, KernelConfig()), path)
+        gp.load(path)
+        # payload order: X_train, y_log, chol (n x n), alpha (n)
+        chol_start = (n * d + n) * 8
+        offset = {
+            "chol": chol_start + (n // 2 * n + n // 2) * 8 + 3,  # a diagonal entry
+            "alpha": chol_start + n * n * 8 + 8 + 3,
+        }[region]
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 1 + offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelIOError, match="does not match its recorded hash"):
             gp.load(path)
 
     def test_layout_hash_guard_at_predict(self, tmp_path, small_data):

@@ -1,5 +1,6 @@
 """Covariance functions: closed forms vs sampling, recursion, PSD, symmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from nngp_card.kernel import (
     nngp_kernel,
     rbf_kernel,
     relu_layer_step,
+    row_blocks,
 )
 
 
@@ -219,6 +221,45 @@ class TestDepthRecursion:
             cfg = KernelConfig(depth=3, activation=activation, noise_sq=0.0)
             K = nngp_kernel(X, None, cfg, include_noise=False)
             np.testing.assert_allclose(kernel_diag(X, cfg), np.diag(K), atol=1e-12)
+
+
+def _dense_layers(X, X2, cfg):
+    """Depth 0..cfg.depth of the recursion over full broadcast matrices."""
+    X2 = X if X2 is None else X2
+    step = relu_layer_step if cfg.activation == "relu" else erf_kernel_step
+    K = base_kernel(X, X2, cfg)
+    yield K
+    for depth in range(cfg.depth):
+        layer = dataclasses.replace(cfg, depth=depth)
+        K = step(kernel_diag(X, layer)[:, None], K, kernel_diag(X2, layer)[None, :], cfg)
+        yield K
+
+
+class TestBlockBuild:
+    @pytest.mark.parametrize("activation", ["relu", "erf"])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_same_batch_matches_dense_recursion(self, activation, n):
+        if n == 2000:  # several row blocks, the last one short
+            blocks = list(row_blocks(n, n))
+            assert len(blocks) > 2 and n % blocks[0][1] != 0
+        X = np.random.default_rng(n).uniform(0, 1, (n, 6))
+        top = KernelConfig(depth=4, activation=activation, noise_sq=0.01)
+        for depth, ref in enumerate(_dense_layers(X, None, top)):
+            cfg = dataclasses.replace(top, depth=depth)
+            K = nngp_kernel(X, None, cfg)
+            assert np.array_equal(K, K.T)
+            assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg) + cfg.noise_sq)
+            np.testing.assert_allclose(K - cfg.noise_sq * np.eye(n), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("activation", ["relu", "erf"])
+    @pytest.mark.parametrize("m", [1, 123])
+    def test_cross_batch_matches_dense_recursion(self, activation, m):
+        rng = np.random.default_rng(m)
+        X, X2 = rng.uniform(0, 1, (2000, 6)), rng.uniform(0, 1, (m, 6))
+        top = KernelConfig(depth=4, activation=activation)
+        for depth, ref in enumerate(_dense_layers(X, X2, top)):
+            K = nngp_kernel(X, X2, dataclasses.replace(top, depth=depth))
+            np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
 
 
 class TestRbf:
