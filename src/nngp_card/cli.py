@@ -482,6 +482,7 @@ def cmd_active_learn(args) -> int:
         json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("active learning MSE history: %s", result.mse_history)
+    log.info("active learning refit the union in %d of %d iterations", result.refits, args.iterations)
     print(_json_line({"out": args.out, "mse_history": result.mse_history}))
     return 0
 

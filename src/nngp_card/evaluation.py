@@ -3,7 +3,9 @@
 q-error is the symmetric ratio max(c/chat, chat/c) (1 = perfect); the squared
 log-ratio loss it pairs with is reported as mse_log. The active-learning loop
 implements plain uncertainty sampling: rank the unlabeled pool by coefficient
-of variation, move the top k into training, retrain from scratch.
+of variation, move the top k into training and grow the exact GP by a
+block-Cholesky append (`gp.extend`); the pool and test posteriors grow by the
+same k rows instead of being recomputed.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import rankdata
 
 from . import gp
 from .gp import CardinalityEstimator, Prediction
-from .kernel import KernelConfig
+from .kernel import KernelConfig, kernel_diag, kernel_matrix
 
 Q_QUANTILES = (25, 50, 75, 95)
 
@@ -203,11 +206,77 @@ class ALResult:
 
     mse_history[0] is the base model's test MSE; one entry follows per
     iteration. selected holds original pool indices, in selection order.
+    refits counts the iterations whose block-Cholesky append failed (the new
+    rows' Schur complement did not factor), so that `gp.extend` refit the
+    union from scratch.
     """
 
     mse_history: list[float]
     selected: list[np.ndarray]
     estimator: CardinalityEstimator
+    refits: int
+
+
+# Columns per piece when a whitened block is built or compacted: the block
+# is filled piece by piece, so no second block-sized array is ever held. On
+# a 2-core Xeon with one BLAS thread and n = 2000, 3000 columns solved in
+# 0.34 s as 512-column pieces (8 MiB each) and in 0.45 s as 65-column ones.
+_WHITEN_COLS = 512
+
+
+class _Whitened:
+    """V = L^-1 K(train, X) for a fixed query batch X, grown with the model.
+
+    With V and the whitened targets w = L^-1 y, the posterior mean is V^T w
+    and the latent variance prior - colsum(V^2). V sits in the leading rows
+    and columns of one Fortran-order buffer sized for the largest training
+    set it will see, so appending rows and dropping columns never copies it.
+    """
+
+    def __init__(self, X: np.ndarray, rows: int, estimator: CardinalityEstimator):
+        self.X = X
+        self.cols = np.arange(len(X))
+        self.prior = kernel_diag(X, estimator.config)
+        self.buf = np.empty((rows, len(X)), order="F")
+        self.rebuild(estimator)
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.buf[: self.n, : len(self.cols)]
+
+    def rebuild(self, estimator: CardinalityEstimator) -> None:
+        """Whiten every column against the estimator's factor."""
+        self.n = estimator.n_train
+        for lo in range(0, len(self.cols), _WHITEN_COLS):
+            part = self.cols[lo : lo + _WHITEN_COLS]
+            self.buf[: self.n, lo : lo + len(part)] = gp._whiten(estimator, self.X[part])[1]
+
+    def grow(self, estimator: CardinalityEstimator) -> None:
+        """Append the rows for the estimator's training rows beyond the first n.
+
+        Its factor is [[L, 0], [B^T, C]] with L the one V was whitened by, so
+        the new rows are C^-1 (K(new, X) - B^T V).
+        """
+        n, L = self.n, estimator.chol
+        R = kernel_matrix(self.X[self.cols], estimator.X_train[n:], estimator.config).T
+        R -= L[n:, :n] @ self.V
+        rows = solve_triangular(L[n:, n:], R, lower=True, overwrite_b=True, check_finite=False)
+        self.buf[n : estimator.n_train, : len(self.cols)] = rows
+        self.n = estimator.n_train
+
+    def drop(self, positions: np.ndarray) -> None:
+        """Remove the columns at `positions`, moving the kept ones left in place."""
+        keep = np.delete(np.arange(len(self.cols)), positions)
+        # kept column j comes from column keep[j] >= j, so moving pieces in
+        # ascending order never overwrites a column before it is read
+        for lo in range(0, len(keep), _WHITEN_COLS):
+            part = keep[lo : lo + _WHITEN_COLS]
+            self.buf[: self.n, lo : lo + len(part)] = self.buf[: self.n, part]
+        self.cols, self.prior = self.cols[keep], self.prior[keep]
+
+    def predict(self, w: np.ndarray) -> Prediction:
+        V = self.V
+        return gp._summarize(V.T @ w, self.prior, V, delta=0.95)
 
 
 def active_learn(
@@ -224,9 +293,13 @@ def active_learn(
     """Grow the training set by the k most-uncertain pool queries per iteration.
 
     Pool queries are drawn without replacement, ranked by coefficient of
-    variation (descending, ties broken by ascending pool index); the model is
-    retrained from scratch each iteration and the test MSE recorded. Pool
-    labels are looked up only for selected queries, mirroring an oracle call.
+    variation (descending, ties broken by ascending pool index); the model
+    grows by `gp.extend` each iteration and the test MSE is recorded. The
+    pool's and the test set's whitened cross blocks grow by k rows per
+    iteration, so an iteration costs O(k n (n + m) + k^3) for m pool and test
+    queries, not a refit's O(n^3 + n^2 m); the result is the exact GP of
+    each grown training set at the model's absolute jitter. Pool labels are
+    looked up only for selected queries, mirroring an oracle call.
     """
     X_pool = np.asarray(X_pool, dtype=np.float64)
     y_pool_log = np.asarray(y_pool_log, dtype=np.float64)
@@ -237,24 +310,39 @@ def active_learn(
             f"pool exhausted: {iterations} x {k} selections exceed pool size {len(X_pool)}"
         )
 
-    X_cur = np.asarray(X_train, dtype=np.float64)
-    y_cur = np.asarray(y_train_log, dtype=np.float64)
-    estimator = gp.fit(X_cur, y_cur, config)
-    history = [mse_log(test_cards, gp.predict(estimator, X_test).card_estimate)]
-    remaining = np.arange(len(X_pool), dtype=np.int64)
+    estimator = gp.fit(X_train, y_train_log, config)
+    rows = estimator.n_train + iterations * k
+    test = _Whitened(np.asarray(X_test, dtype=np.float64), rows, estimator)
+    # the pool block is last read before the final selection
+    pool = _Whitened(X_pool, rows - k, estimator) if iterations and k else None
+    w = _whitened_targets(estimator)
+    history = [mse_log(test_cards, test.predict(w).card_estimate)]
     selected: list[np.ndarray] = []
+    refits = 0
 
-    for _ in range(iterations):
-        if k > 0 and remaining.size:
-            pred = gp.predict(estimator, X_pool[remaining])
-            order = np.argsort(-pred.cov, kind="stable")
-            chosen = remaining[order[:k]]
-            selected.append(chosen)
-            X_cur = np.vstack([X_cur, X_pool[chosen]])
-            y_cur = np.concatenate([y_cur, y_pool_log[chosen]])
-            remaining = np.setdiff1d(remaining, chosen)
-            estimator = gp.fit(X_cur, y_cur, config)
-        else:
-            selected.append(np.zeros(0, dtype=np.int64))
-        history.append(mse_log(test_cards, gp.predict(estimator, X_test).card_estimate))
-    return ALResult(mse_history=history, selected=selected, estimator=estimator)
+    for i in range(iterations):
+        chosen = np.zeros(0, dtype=np.int64)
+        if pool is not None:
+            order = np.argsort(-pool.predict(w).cov, kind="stable")[:k]
+            chosen = pool.cols[order]
+            if i == iterations - 1:
+                pool = None  # free the block before the factor grows
+            else:
+                pool.drop(order)
+            grown = gp.extend(estimator, X_pool[chosen], y_pool_log[chosen])
+            # extend keeps the old factor as the leading block unless it refit
+            appended = np.array_equal(grown.chol[: estimator.n_train, : estimator.n_train], estimator.chol)
+            estimator = grown
+            update = _Whitened.grow if appended else _Whitened.rebuild
+            update(test, estimator)
+            if pool is not None:
+                update(pool, estimator)
+            refits += not appended
+            w = _whitened_targets(estimator)
+        selected.append(chosen)
+        history.append(mse_log(test_cards, test.predict(w).card_estimate))
+    return ALResult(mse_history=history, selected=selected, estimator=estimator, refits=refits)
+
+
+def _whitened_targets(estimator: CardinalityEstimator) -> np.ndarray:
+    return solve_triangular(estimator.chol, estimator.y_log, lower=True, check_finite=False)

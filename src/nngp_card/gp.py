@@ -6,6 +6,8 @@ training targets plus a triangular solve for the predictive variance.
 The factorization runs in place, so the factor occupies the kernel's own
 n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
 fails has consumed that buffer, so the next rung rebuilds the kernel.
+`extend` grows a fitted model by new training rows with an exact
+block-Cholesky append instead of a refit.
 Targets are natural logs of cardinalities; point estimates return to count
 space as max(1, exp(mean)).
 """
@@ -13,7 +15,7 @@ space as max(1, exp(mean)).
 from __future__ import annotations
 
 import json
-import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,17 +97,7 @@ def fit(
     `JITTER_LADDER`, before a FitError (with conditioning diagnostics of the
     unfactorized kernel) is raised. O(N^3), computed once; deterministic.
     """
-    X_train = np.ascontiguousarray(X_train, dtype=np.float64)
-    y_log = np.ascontiguousarray(y_log, dtype=np.float64)
-    if X_train.ndim != 2 or len(X_train) < 1:
-        raise FitError("X_train must be a non-empty (n, d_enc) matrix")
-    if y_log.shape != (len(X_train),):
-        raise FitError(f"targets have shape {y_log.shape}, expected ({len(X_train)},)")
-    if not np.all(np.isfinite(y_log)):
-        raise FitError("targets contain non-finite values")
-    if not np.all(np.isfinite(X_train)):
-        raise FitError("features contain non-finite values")
-
+    X_train, y_log = _training_data(X_train, y_log)
     K = kernel_matrix(X_train, None, config)  # noise included on the diagonal
     mean_diag = float(np.mean(np.diagonal(K)))
     last_error = None
@@ -122,21 +114,77 @@ def fit(
         except LinAlgError as exc:
             last_error = exc
             continue
-        alpha = solve_triangular(L, y_log, lower=True, check_finite=False)
-        alpha = solve_triangular(L.T, alpha, lower=False, check_finite=False)
-        return CardinalityEstimator(
-            X_train=X_train,
-            y_log=y_log,
-            chol=L,
-            alpha=alpha,
-            config=config,
-            layout_hash=layout_hash,
-            jitter=jitter,
-        )
+        return _estimator(X_train, y_log, L, config, layout_hash, jitter)
     raise FitError(
         "kernel factorization failed after jitter escalation "
         f"(tried relative jitters {JITTER_LADDER}); diagnostics: "
         f"{_conditioning(kernel_matrix(X_train, None, config))}: {last_error}"
+    )
+
+
+def extend(
+    estimator: CardinalityEstimator, X_new: np.ndarray, y_new: np.ndarray
+) -> CardinalityEstimator:
+    """The model fitted on its training set plus k new rows, by a block-Cholesky append.
+
+    With B = L^-1 K(old, new) and S = K(new, new) + noise + jitter - B^T B, the
+    factor of the grown kernel is L' = [[L, 0], [B^T, chol(S)]]: O(n^2 k + k^3)
+    plus an n x k cross kernel, against O((n + k)^3) for a refit. The new
+    diagonal carries the model's absolute jitter, so the result is the exact
+    fit of the union at that jitter, and the leading n x n block of L' is L
+    itself. If S does not factor, the union is refit by `fit`, jitter ladder
+    and all.
+    """
+    X_new, y_new = _training_data(X_new, y_new)
+    n, d = estimator.X_train.shape
+    if X_new.shape[1] != d:
+        raise FitError(f"feature dimension {X_new.shape[1]} does not match training dimension {d}")
+    X = np.concatenate([estimator.X_train, X_new])
+    y = np.concatenate([estimator.y_log, y_new])
+    config = estimator.config
+    _, B = _whiten(estimator, X_new)
+    S = kernel_matrix(X_new, None, config)  # noise included on the diagonal
+    S[np.diag_indices_from(S)] += estimator.jitter
+    S -= B.T @ B
+    try:
+        C = cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        return fit(X, y, config, estimator.layout_hash)
+    L = np.empty((len(y), len(y)), order="F")
+    L[:n, :n] = estimator.chol
+    L[:n, n:] = 0.0
+    L[n:, :n] = B.T
+    L[n:, n:] = C
+    return _estimator(X, y, L, config, estimator.layout_hash, estimator.jitter)
+
+
+def _training_data(X: np.ndarray, y: np.ndarray) -> tuple:
+    """Validated float64 features (n >= 1 rows) and their n finite targets."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if X.ndim != 2 or len(X) < 1:
+        raise FitError("training features must be a non-empty (n, d_enc) matrix")
+    if y.shape != (len(X),):
+        raise FitError(f"targets have shape {y.shape}, expected ({len(X)},)")
+    if not np.all(np.isfinite(y)):
+        raise FitError("targets contain non-finite values")
+    if not np.all(np.isfinite(X)):
+        raise FitError("features contain non-finite values")
+    return X, y
+
+
+def _estimator(X, y, L, config, layout_hash, jitter) -> CardinalityEstimator:
+    """Trained state from the factor L of the kernel: alpha by two triangular solves."""
+    alpha = solve_triangular(L, y, lower=True, check_finite=False)
+    alpha = solve_triangular(L.T, alpha, lower=False, check_finite=False)
+    return CardinalityEstimator(
+        X_train=X,
+        y_log=y,
+        chol=L,
+        alpha=alpha,
+        config=config,
+        layout_hash=layout_hash,
+        jitter=jitter,
     )
 
 
@@ -193,15 +241,28 @@ def predict(
         empty = np.zeros(0, dtype=np.float64)
         return Prediction(empty, empty, empty, empty, empty, empty, delta)
 
-    config = estimator.config
-    k_star = kernel_matrix(estimator.X_train, X_test, config, include_noise=False)
-    mean = k_star.T @ estimator.alpha
-    v = solve_triangular(estimator.chol, k_star, lower=True, check_finite=False)
-    var = kernel_diag(X_test, config) - np.einsum("ij,ij->j", v, v)
-    var = np.maximum(var, 0.0)
-    if predictive_noise:
-        var = var + config.noise_sq
+    noise = estimator.config.noise_sq if predictive_noise else 0.0
+    mean, v = _whiten(estimator, X_test)
+    return _summarize(mean, kernel_diag(X_test, estimator.config), v, delta, noise)
 
+
+def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> tuple:
+    """Smoother mean K(X, train) alpha and the whitened cross block L^-1 K(train, X).
+
+    The cross kernel is built as K(X, train) and transposed, so the n x m block
+    is already in Fortran order and the triangular solve runs in its memory.
+    """
+    k_star = kernel_matrix(X, estimator.X_train, estimator.config, include_noise=False).T
+    mean = k_star.T @ estimator.alpha
+    v = solve_triangular(estimator.chol, k_star, lower=True, overwrite_b=True, check_finite=False)
+    return mean, v
+
+
+def _summarize(mean, prior_var, v, delta, noise=0.0) -> Prediction:
+    """Posterior summaries from the mean, the prior variances and the whitened
+    cross block v: the latent variance prior - colsum(v^2), clamped at zero,
+    plus `noise`."""
+    var = np.maximum(prior_var - np.einsum("ij,ij->j", v, v), 0.0) + noise
     ci_low, ci_high = _interval(mean, var, delta)
     cov = _coefficient_of_variation(mean, var)
     card = np.maximum(1.0, np.exp(np.minimum(mean, 700.0)))
@@ -259,7 +320,11 @@ def save(estimator: CardinalityEstimator, path) -> None:
 
 
 def load(path) -> CardinalityEstimator:
-    """Read a model file; every payload must match its recorded hash."""
+    """Read a model file; every payload must match its recorded hash.
+
+    The payload size is checked against the file size first, then each
+    payload is read straight into its own array, so loading holds no copy.
+    """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -269,20 +334,20 @@ def load(path) -> CardinalityEstimator:
             raise ModelIOError(f"{path}: not a model file (format={header.get('format')!r})")
         if header.get("version") != MODEL_VERSION:
             raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
-        payload = fh.read()
-    n, d = int(header["n"]), int(header["d_enc"])
-    shapes = {"X_train": (n, d), "y_log": (n,), "chol": (n, n), "alpha": (n,)}
-    expected = (n * d + n + n * n + n) * 8
-    if len(payload) != expected:
-        raise ModelIOError(f"{path}: payload has {len(payload)} bytes, expected {expected} (truncated?)")
-    arrays, pos = {}, 0
-    for field, key, what in _PAYLOADS:
-        count = math.prod(shapes[field])
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=pos).reshape(shapes[field]).copy()
-        pos += count * 8
-        if array_hash(arr) != header.get(key):
-            raise ModelIOError(f"{path}: {what} payload does not match its recorded hash")
-        arrays[field] = arr
+        n, d = int(header["n"]), int(header["d_enc"])
+        shapes = {"X_train": (n, d), "y_log": (n,), "chol": (n, n), "alpha": (n,)}
+        expected = (n * d + n + n * n + n) * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ModelIOError(f"{path}: payload has {size} bytes, expected {expected} (truncated?)")
+        arrays = {}
+        for field, key, what in _PAYLOADS:
+            arr = np.empty(shapes[field], dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ModelIOError(f"{path}: {what} payload is truncated")
+            if array_hash(arr) != header.get(key):
+                raise ModelIOError(f"{path}: {what} payload does not match its recorded hash")
+            arrays[field] = arr
     return CardinalityEstimator(
         **arrays,
         config=KernelConfig.from_dict(header["config"]),

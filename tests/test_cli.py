@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline: golden path, determinism, guards, selfcheck."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -294,7 +295,8 @@ class TestGuards:
 
 
 class TestActiveLearnCommand:
-    def test_history_is_recorded(self, pipeline_dir, tmp_path, capsys):
+    def test_history_is_recorded(self, pipeline_dir, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="nngp_card")
         root, catalog = pipeline_dir
         run([
             "active-learn", "--catalog", catalog,
@@ -307,6 +309,9 @@ class TestActiveLearnCommand:
         assert len(doc["mse_history"]) == 3
         assert len(doc["selected_ids"]) == 2
         assert len(doc["selected_ids"][0]) == 10
+        # the fallback count goes to the log, not into the output file
+        assert "refit the union in 0 of 2 iterations" in caplog.text
+        assert "refits" not in doc
 
 
 class TestMisc:

@@ -212,6 +212,25 @@ def al_data():
     )
 
 
+def refit_reference(X_train, y_train, X_pool, y_pool, X_test, test_cards, config, iterations, k):
+    """Uncertainty sampling by a full refit and whole-pool predict per iteration."""
+    X_cur, y_cur = X_train, y_train
+    est = gp.fit(X_cur, y_cur, config)
+    history = [mse_log(test_cards, gp.predict(est, X_test).card_estimate)]
+    remaining = np.arange(len(X_pool))
+    selected = []
+    for _ in range(iterations):
+        cov = gp.predict(est, X_pool[remaining]).cov
+        chosen = remaining[np.argsort(-cov, kind="stable")[:k]]
+        selected.append(chosen)
+        X_cur = np.vstack([X_cur, X_pool[chosen]])
+        y_cur = np.concatenate([y_cur, y_pool[chosen]])
+        remaining = np.setdiff1d(remaining, chosen)
+        est = gp.fit(X_cur, y_cur, config)
+        history.append(mse_log(test_cards, gp.predict(est, X_test).card_estimate))
+    return history, selected, est
+
+
 class TestActiveLearn:
     def test_k_zero_keeps_mse_constant(self, al_data):
         Xtr, ytr, Xpo, ypo, Xte, cte = al_data
@@ -255,3 +274,51 @@ class TestActiveLearn:
         Xtr, ytr, Xpo, ypo, Xte, cte = al_data
         with pytest.raises(ValueError, match="pool exhausted"):
             active_learn(Xtr, ytr, Xpo, ypo, Xte, cte, KernelConfig(), iterations=3, k=30)
+
+    @pytest.mark.parametrize(
+        "cfg", [KernelConfig(), KernelConfig(activation="erf", depth=2), KernelConfig(kernel_family="rbf")]
+    )
+    def test_matches_full_refit_reference(self, al_data, cfg):
+        res = active_learn(*al_data, cfg, iterations=3, k=15)
+        history, selected, est = refit_reference(*al_data, cfg, iterations=3, k=15)
+        assert res.refits == 0
+        for got, want in zip(res.selected, selected, strict=True):
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(res.mse_history, history, rtol=1e-9)
+        np.testing.assert_allclose(res.estimator.chol, est.chol, rtol=0, atol=1e-10 * np.abs(est.chol).max())
+        np.testing.assert_allclose(res.estimator.alpha, est.alpha, rtol=0, atol=1e-8 * np.abs(est.alpha).max())
+
+    def test_failed_append_refits_and_is_counted(self, al_data):
+        Xtr, ytr, Xpo, ypo, Xte, cte = al_data
+        cfg = KernelConfig(noise_sq=0.0)
+        # copies of eight training rows: the Schur complement of their append is
+        # singular and does not factor, so the iteration that selects them (the
+        # last: known rows are the least uncertain) refits the union
+        Xpo, ypo = np.vstack([Xpo, Xtr[:8]]), np.concatenate([ypo, ytr[:8]])
+        res = active_learn(Xtr, ytr, Xpo, ypo, Xte, cte, cfg, iterations=2, k=len(Xpo) // 2)
+        history, selected, est = refit_reference(Xtr, ytr, Xpo, ypo, Xte, cte, cfg, iterations=2, k=len(Xpo) // 2)
+        assert res.refits == 1
+        assert set(range(80, 88)) <= set(res.selected[1].tolist())
+        for got, want in zip(res.selected, selected, strict=True):
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(res.mse_history, history, rtol=1e-9)
+
+    def test_refit_rebuilds_the_pool_block(self, al_data):
+        Xtr, ytr, Xpo, ypo, Xte, cte = al_data
+        cfg = KernelConfig(noise_sq=0.0)
+        # three copies each of three new points far from the training set: the
+        # first iteration selects them all, its append fails and the union is refit
+        far = np.repeat([-0.5, -1.0, -1.5], 3)[:, None] * np.ones(Xtr.shape[1])
+        Xpo, ypo = np.vstack([Xpo, far]), np.concatenate([ypo, np.full(9, 6.0)])
+        k = len(Xpo) // 2
+        res = active_learn(Xtr, ytr, Xpo, ypo, Xte, cte, cfg, iterations=2, k=k)
+        history, selected, _ = refit_reference(Xtr, ytr, Xpo, ypo, Xte, cte, cfg, iterations=2, k=k)
+        assert res.refits == 1
+        assert set(range(80, 89)) <= set(res.selected[0].tolist())
+        # the second selection ranks the pool block rebuilt after the refit
+        for got, want in zip(res.selected, selected, strict=True):
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(res.mse_history[:2], history[:2], rtol=1e-9)
+        # the later append carries the refit's absolute jitter
+        refit = gp.fit(np.vstack([Xtr, Xpo[res.selected[0]]]), np.concatenate([ytr, ypo[res.selected[0]]]), cfg)
+        assert res.estimator.jitter == refit.jitter > 0.0

@@ -19,6 +19,16 @@ def small_data():
     return X, y
 
 
+@pytest.fixture(scope="module")
+def model_3000(tmp_path_factory):
+    """A fitted N=3000 model and its saved file."""
+    rng = np.random.default_rng(21)
+    est = gp.fit(rng.uniform(0, 1, (3000, 12)), rng.uniform(0, 8, 3000), KernelConfig())
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    gp.save(est, path)
+    return est, path
+
+
 class TestFit:
     def test_single_point_alpha_is_target_over_variance(self):
         X = np.array([[0.2, 0.4]])
@@ -95,6 +105,76 @@ class TestFit:
     def test_input_validation(self, X, y, match):
         with pytest.raises(FitError, match=match):
             gp.fit(X, y, KernelConfig())
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+EXTEND_CONFIGS = [KernelConfig(activation=act, depth=depth) for act in ("relu", "erf") for depth in range(5)]
+EXTEND_CONFIGS.append(KernelConfig(kernel_family="rbf"))
+
+
+class TestExtend:
+    @pytest.mark.parametrize("k", [1, 50])
+    @pytest.mark.parametrize(
+        "cfg", EXTEND_CONFIGS, ids=[f"{c.kernel_family}-{c.activation}-{c.depth}" for c in EXTEND_CONFIGS]
+    )
+    def test_matches_fit_on_the_union(self, cfg, k):
+        rng = np.random.default_rng(8)
+        X, y = rng.uniform(0, 1, (60 + k, 6)), rng.uniform(0, 8, 60 + k)
+        probe = rng.uniform(0, 1, (25, 6))
+        grown = gp.extend(gp.fit(X[:60], y[:60], cfg, layout_hash="h"), X[60:], y[60:])
+        union = gp.fit(X, y, cfg, layout_hash="h")
+        assert grown.jitter == union.jitter == 0.0
+        assert grown.layout_hash == "h" and np.array_equal(grown.X_train, X)
+        assert _rel(grown.chol, union.chol) < 1e-8
+        assert _rel(grown.alpha, union.alpha) < 1e-8
+        p_grown, p_union = gp.predict(grown, probe), gp.predict(union, probe)
+        assert _rel(p_grown.mean_log, p_union.mean_log) < 1e-8
+        assert _rel(p_grown.var_log, p_union.var_log) < 1e-8
+
+    def test_carries_the_absolute_jitter(self):
+        cfg = KernelConfig(noise_sq=0.0)
+        X_old = np.tile(np.array([[0.5, 0.5, 0.5]]), (8, 1))  # rank-1 kernel: needs jitter
+        X_new = np.random.default_rng(4).uniform(0, 1, (5, 3))
+        est = gp.fit(X_old, np.linspace(1, 2, 8), cfg)
+        assert est.jitter > 0.0
+        grown = gp.extend(est, X_new, np.linspace(3, 4, 5))
+        assert grown.jitter == est.jitter
+        X = np.vstack([X_old, X_new])
+        K = nngp_kernel(X, None, cfg)
+        # a jitter relative to the union's mean diagonal would be another value
+        assert 1e-8 * np.mean(np.diagonal(K)) != est.jitter
+        K[np.diag_indices_from(K)] += est.jitter
+        assert _rel(grown.chol @ grown.chol.T, K) < 1e-12
+        assert np.array_equal(grown.chol[:8, :8], est.chol)
+
+    def test_schur_complement_failure_refits_the_union(self):
+        cfg = KernelConfig(noise_sq=0.0)
+        rng = np.random.default_rng(5)
+        X_old, X_new = rng.uniform(0, 1, (20, 4)), np.tile(rng.uniform(2, 3, (1, 4)), (8, 1))
+        est = gp.fit(X_old, rng.uniform(0, 8, 20), cfg)
+        grown = gp.extend(est, X_new, np.full(8, 5.0))
+        union = gp.fit(np.vstack([X_old, X_new]), np.concatenate([est.y_log, np.full(8, 5.0)]), cfg)
+        assert est.jitter == 0.0 and grown.jitter > 0.0
+        assert np.array_equal(grown.chol, union.chol)
+        assert np.array_equal(grown.alpha, union.alpha)
+
+    @pytest.mark.parametrize(
+        "X_new, y_new, match",
+        [
+            (np.zeros((2, 5)), np.zeros(2), "dimension"),
+            (np.zeros((0, 6)), np.zeros(0), "non-empty"),
+            (np.zeros((2, 6)), np.zeros(3), "shape"),
+            (np.zeros((2, 6)), np.array([1.0, np.inf]), "non-finite"),
+            (np.array([[np.nan] * 6]), np.zeros(1), "non-finite"),
+        ],
+    )
+    def test_input_validation(self, small_data, X_new, y_new, match):
+        est = gp.fit(*small_data, KernelConfig())
+        with pytest.raises(FitError, match=match):
+            gp.extend(est, X_new, y_new)
 
 
 class TestPredict:
@@ -205,6 +285,19 @@ class TestPredict:
         assert np.all(pred.var_log <= 1e-5)
 
 
+    def test_predict_solves_in_the_cross_kernel_buffer(self, model_3000):
+        est, _ = model_3000
+        X_test = np.random.default_rng(22).uniform(0, 1, (500, est.X_train.shape[1]))
+        tracemalloc.start()
+        try:
+            pred = gp.predict(est, X_test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(pred.var_log))
+        assert peak <= 1.5 * 8 * est.n_train * len(X_test)
+
+
 class TestIntervalAndCov:
     def _pred(self, mean, var, delta=0.95):
         mean = np.asarray(mean, dtype=float)
@@ -275,9 +368,23 @@ class TestPersistence:
         est = gp.fit(X, y, KernelConfig())
         path = tmp_path / "model.bin"
         gp.save(est, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ModelIOError, match="truncated"):
-            gp.load(path)
+        data = path.read_bytes()
+        # a short file, and one with trailing bytes, disagree with the header's size
+        for bad in (data[:-16], data + bytes(8)):
+            path.write_bytes(bad)
+            with pytest.raises(ModelIOError, match="truncated"):
+                gp.load(path)
+
+    def test_load_reads_payloads_without_a_copy(self, model_3000):
+        est, path = model_3000
+        tracemalloc.start()
+        try:
+            loaded = gp.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.chol, est.chol) and np.array_equal(loaded.alpha, est.alpha)
+        assert peak <= 1.3 * path.stat().st_size
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
