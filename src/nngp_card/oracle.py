@@ -1,10 +1,13 @@
 """Brute-force exact cardinality oracle over the relational store.
 
-Counts the tuples of a conjunctive select-join query exactly. Equi-joins go
-through a sort/searchsorted hash-join path, theta-joins through filtered
-cross products; both paths produce identical counts, and the "nested"
-strategy runs filtered cross products everywhere as the differential-testing
-reference.
+Counts the tuples of a conjunctive select-join query exactly. When every join
+condition is an equality and the join graph is a forest, the count is
+aggregated over the join tree: each relation passes per-key counts of its
+selected rows up to its parent (Yannakakis 1981), so no (row, row) pair is
+ever built. Cyclic graphs and theta or `!=` conditions take a left-deep join
+instead: a sort/searchsorted hash join per equality, filtered cross products
+otherwise. The "nested" strategy runs filtered cross products everywhere as
+the differential-testing reference. All paths produce identical counts.
 """
 
 from __future__ import annotations
@@ -16,11 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .queries import JoinCondition, Query, QueryError, RangeFilter
-from .relstore import CategoricalType, Relation, SchemaCatalog, split_ref
+from .relstore import Relation, SchemaCatalog, split_ref
 
-# Intermediate-result guard: the oracle targets desk-scale instances, not a
-# real executor. Exceeding this is almost certainly a malformed workload.
+# Intermediate-result guard of the left-deep path: the oracle targets
+# desk-scale instances, not a real executor. Exceeding this is almost
+# certainly a malformed workload. Join-tree counting builds no array longer
+# than the two columns of a join pair and is not bound by it.
 MAX_INTERMEDIATE = 20_000_000
+
+# Join-tree counts are float64 sums and products of non-negative integers.
+# Each is exact below 2**53; one rounded past it stays >= 2**53 (or turns inf
+# or NaN) unless a zero factor makes it exact again, so a root total below the
+# bound is exact.
+_EXACT_BOUND = 2.0**53
 
 _STRATEGIES = ("auto", "nested")
 
@@ -38,11 +49,14 @@ def execute(query: Query, catalog: SchemaCatalog, strategy: str = "auto") -> int
         Validated against `catalog` before execution.
     catalog : SchemaCatalog
     strategy : str
-        "auto" uses a hash join whenever an equality condition links the next
-        relation; "nested" forces filtered cross products everywhere (the
+        "auto" aggregates over the join tree when every condition is an
+        equality and the join graph is a forest; otherwise it joins left-deep,
+        with a hash join whenever an equality condition links the next
+        relation. "nested" forces filtered cross products everywhere (the
         differential-testing path).
 
-    Empty results return 0; they are not an error.
+    Empty results return 0; they are not an error. A join-tree count that
+    reaches 2**53 raises OracleError rather than return a rounded number.
     """
     if strategy not in _STRATEGIES:
         raise OracleError(f"unknown strategy {strategy!r}")
@@ -56,6 +70,10 @@ def execute(query: Query, catalog: SchemaCatalog, strategy: str = "auto") -> int
         return 0
     if len(query.relations) == 1:
         return len(selected[query.relations[0]])
+    if strategy == "auto":
+        count = _forest_count(query, catalog, selected)
+        if count is not None:
+            return count
 
     # Left-deep join in catalog (name) order; correctness is order-independent.
     first = query.relations[0]
@@ -128,13 +146,78 @@ def _selection_rows(relation: Relation, name: str, query: Query) -> np.ndarray:
             mask &= (col >= flt.lb) & (col <= flt.ub)
         else:
             ctype = relation.type_of(attr)
-            codes = [ctype.index(v) for v in flt.values]
-            mask &= np.isin(col, codes)
+            allowed = np.zeros(ctype.size, dtype=bool)
+            allowed[[ctype.index(v) for v in flt.values]] = True
+            mask &= allowed[col]
     return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
-# join machinery
+# join-tree counting
+# ---------------------------------------------------------------------------
+
+
+def _forest_count(
+    query: Query, catalog: SchemaCatalog, selected: dict[str, np.ndarray]
+) -> int | None:
+    """Exact count of an equi-join forest, or None when the query is not one.
+
+    Every relation's selected rows start at weight 1. Walking each component
+    from a root, every child sends the per-key sum of its weights
+    (`np.bincount` over the pair's dense key codes) to its parent, which
+    multiplies its weights by that message read at its own codes. The count
+    is the product over components of the root's weight sum.
+    """
+    if any(cond.op != "=" for cond in query.joins):
+        return None
+    # relation -> [(pair, neighbour, own codes, neighbour codes, code count)]
+    adj: dict[str, list] = {name: [] for name in query.relations}
+    for cond in query.joins:
+        left, right = catalog.join_pairs[cond.pair]
+        lrel, rrel = split_ref(left)[0], split_ref(right)[0]
+        lcodes, rcodes, n_codes = catalog.join_codes[cond.pair]
+        adj[lrel].append((cond.pair, rrel, lcodes, rcodes, n_codes))
+        adj[rrel].append((cond.pair, lrel, rcodes, lcodes, n_codes))
+
+    # Depth-first preorder. Reaching a relation a second time means a cycle;
+    # two conditions between the same pair of relations are one.
+    order: list[tuple[str, tuple | None]] = []
+    seen: set[str] = set()
+    for root in query.relations:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack: list[tuple[str, tuple | None]] = [(root, None)]
+        while stack:
+            name, up = stack.pop()
+            order.append((name, up))
+            for pair, nbr, own, other, n_codes in adj[name]:
+                if up is not None and pair == up[0]:
+                    continue
+                if nbr in seen:
+                    return None
+                seen.add(nbr)
+                stack.append((nbr, (pair, name, other, own, n_codes)))
+
+    weights: dict[str, np.ndarray] = {}
+    count = 1
+    for name, up in reversed(order):  # children before their parents
+        rows = selected[name]
+        if up is None:
+            total = float(weights[name].sum()) if name in weights else rows.size
+            if not total < _EXACT_BOUND:
+                raise OracleError(f"join count at relation {name!r} reaches 2**53")
+            count *= int(total)
+            continue
+        _, parent, own, parent_codes, n_codes = up
+        message = np.bincount(own[rows], weights=weights.get(name), minlength=n_codes)
+        gathered = message[parent_codes[selected[parent]]].astype(np.float64, copy=False)
+        weights[parent] = gathered * weights[parent] if parent in weights else gathered
+    return count
+
+
+# ---------------------------------------------------------------------------
+# left-deep join machinery
 # ---------------------------------------------------------------------------
 
 
@@ -147,27 +230,6 @@ def _cond_touches(
     rrel, _ = split_ref(right)
     done = set(partial) | {incoming}
     return lrel in done and rrel in done and incoming in (lrel, rrel)
-
-
-def _comparable(catalog: SchemaCatalog, left: str, right: str) -> tuple[np.ndarray, np.ndarray]:
-    """Full-column value arrays for a join pair on a shared comparable scale.
-
-    Categorical codes of the right side are remapped into the left side's
-    domain (-1 for values absent there, which can never compare equal).
-    """
-    lrel, lattr = split_ref(left)
-    rrel, rattr = split_ref(right)
-    lcol = catalog.relation(lrel).column(lattr)
-    rcol = catalog.relation(rrel).column(rattr)
-    ltype = catalog.resolve(left)
-    if isinstance(ltype, CategoricalType):
-        rtype = catalog.resolve(right)
-        remap = np.asarray(
-            [ltype.values.index(v) if v in ltype.values else -1 for v in rtype.values],
-            dtype=np.int64,
-        )
-        return lcol.astype(np.int64), remap[rcol]
-    return lcol.astype(np.float64), rcol.astype(np.float64)
 
 
 _OP_FUNCS = {
@@ -189,7 +251,7 @@ def _cond_mask(
 ) -> np.ndarray:
     left, right = catalog.join_pairs[cond.pair]
     lrel, _ = split_ref(left)
-    lvals, rvals = _comparable(catalog, left, right)
+    lvals, rvals = catalog.join_values[cond.pair]
     lrows = incoming_rows if lrel == incoming else partial_rows[lrel]
     rrel, _ = split_ref(right)
     rrows = incoming_rows if rrel == incoming else partial_rows[rrel]
@@ -250,7 +312,7 @@ def _hash_join_pairs(
     """Matching (partial position, incoming position) pairs for an equi-join."""
     left, right = catalog.join_pairs[cond.pair]
     lrel, _ = split_ref(left)
-    lvals, rvals = _comparable(catalog, left, right)
+    lvals, rvals = catalog.join_values[cond.pair]
     if lrel == incoming:
         probe_vals = rvals[partial[split_ref(right)[0]]]
         build_vals = lvals[incoming_rows]

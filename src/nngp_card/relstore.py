@@ -255,6 +255,50 @@ class SchemaCatalog:
         """`stable_hash` of `describe()`, computed once: the catalog is immutable."""
         return stable_hash(self.describe())
 
+    @cached_property
+    def join_values(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per join pair, the full columns of both sides on one comparable scale.
+
+        Numerical sides are float64. Categorical codes of the right side are
+        remapped into the left side's domain (-1 for values absent there,
+        which can never compare equal).
+        """
+        out = []
+        for left, right in self.join_pairs:
+            lrel, lattr = split_ref(left)
+            rrel, rattr = split_ref(right)
+            lcol = self.relation(lrel).column(lattr)
+            rcol = self.relation(rrel).column(rattr)
+            ltype = self.resolve(left)
+            if isinstance(ltype, CategoricalType):
+                rtype = self.resolve(right)
+                remap = np.asarray(
+                    [ltype.values.index(v) if v in ltype.values else -1 for v in rtype.values],
+                    dtype=np.int64,
+                )
+                lvals, rvals = lcol.astype(np.int64), remap[rcol]
+            else:
+                lvals, rvals = lcol.astype(np.float64, copy=False), rcol.astype(np.float64, copy=False)
+            lvals.flags.writeable = rvals.flags.writeable = False
+            out.append((lvals, rvals))
+        return tuple(out)
+
+    @cached_property
+    def join_codes(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Per join pair, dense integer key codes of both sides and the code count.
+
+        Two rows' codes are equal exactly when their `join_values` compare
+        equal (NaNs get distinct codes, as they never compare equal).
+        """
+        out = []
+        for lvals, rvals in self.join_values:
+            keys, codes = np.unique(
+                np.concatenate([lvals, rvals]), return_inverse=True, equal_nan=False
+            )
+            codes.flags.writeable = False
+            out.append((codes[: lvals.size], codes[lvals.size :], keys.size))
+        return tuple(out)
+
 
 def register_join_pair(catalog: SchemaCatalog, left: str, right: str) -> SchemaCatalog:
     """Append a joinable attribute pair, returning the extended catalog.

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from nngp_card.oracle import OracleError, execute, execute_batch
+from nngp_card.oracle import (
+    MAX_INTERMEDIATE,
+    OracleError,
+    _forest_count,
+    _selection_rows,
+    execute,
+    execute_batch,
+)
 from nngp_card.queries import InFilter, JoinCondition, Query, QueryError, RangeFilter
 from nngp_card.relstore import SchemaCatalog, register_join_pair
 
@@ -75,6 +82,138 @@ class TestJoins:
         for strategy in ("magic", "hash"):
             with pytest.raises(OracleError, match="strategy"):
                 execute(Query(("r1",)), two_relation_catalog, strategy)
+
+
+def _tree_instance(rng, shape):
+    """Relations r0..r{n-1} joined along a star, a chain or a random tree.
+
+    Keys come from a few small values, so both sides of every edge carry
+    duplicates, and each relation's categorical domain is a random subset of
+    four values, so categorical pairs hold values absent on one side.
+    """
+    n = int(rng.integers(2, 5))
+    relations = []
+    for i in range(n):
+        rows = int(rng.integers(1, 7))
+        domain = rng.choice(["w", "x", "y", "z"], size=int(rng.integers(2, 5)), replace=False)
+        relations.append(
+            make_relation(
+                f"r{i}",
+                numeric=rng.integers(0, 3, size=rows).astype(np.float64),
+                categories=rng.choice(domain, size=rows).tolist(),
+            )
+        )
+    catalog = SchemaCatalog(tuple(relations))
+    for i in range(1, n):
+        parent = {"star": 0, "chain": i - 1, "tree": int(rng.integers(i))}[shape]
+        attr = "ac"[int(rng.integers(2))]
+        ends = [f"r{parent}.{attr}", f"r{i}.{attr}"]
+        if rng.random() < 0.5:
+            ends.reverse()
+        catalog = register_join_pair(catalog, *ends)
+    return catalog
+
+
+def _random_selections(catalog, rng):
+    selections = []
+    for rel in catalog.relations:
+        roll = rng.random()
+        keys = rel.type_of("a")
+        if roll < 0.08 and keys.hi > keys.lo:  # selects nothing: the keys are integers
+            selections.append((f"{rel.name}.a", RangeFilter(keys.lo + 0.25, keys.lo + 0.75)))
+        elif roll < 0.35:
+            values = rel.type_of("c").values
+            picked = rng.choice(values, size=int(rng.integers(1, len(values) + 1)), replace=False)
+            selections.append((f"{rel.name}.c", InFilter(tuple(picked.tolist()))))
+    return tuple(selections)
+
+
+def _selected(query, catalog):
+    return {name: _selection_rows(catalog.relation(name), name, query) for name in query.relations}
+
+
+class TestJoinTree:
+    @pytest.mark.parametrize("shape", ["star", "chain", "tree"])
+    def test_matches_nested_and_naive(self, shape):
+        rng = np.random.default_rng({"star": 61, "chain": 62, "tree": 63}[shape])
+        for _ in range(100):
+            catalog = _tree_instance(rng, shape)
+            names = tuple(r.name for r in catalog.relations)
+            joins = tuple(JoinCondition(i, "=") for i in range(len(catalog.join_pairs)))
+            q = Query(names, _random_selections(catalog, rng), joins)
+            expected = naive_count(q, catalog)
+            assert _forest_count(q, catalog, _selected(q, catalog)) == expected
+            assert execute(q, catalog, "auto") == execute(q, catalog, "nested") == expected
+
+    def test_forest_counts_the_product_of_its_components(self):
+        # execute rejects a disconnected query; the counting itself multiplies
+        # the component counts, a cross product when no condition is left.
+        rng = np.random.default_rng(64)
+        for _ in range(60):
+            catalog = _tree_instance(rng, "tree")
+            names = tuple(r.name for r in catalog.relations)
+            keep = rng.random(len(catalog.join_pairs)) < 0.5
+            joins = tuple(JoinCondition(i, "=") for i in np.flatnonzero(keep).tolist())
+            q = Query(names, _random_selections(catalog, rng), joins)
+            assert _forest_count(q, catalog, _selected(q, catalog)) == naive_count(q, catalog)
+            if not joins:
+                with pytest.raises(QueryError, match="not connected"):
+                    execute(q, catalog)
+
+    def test_cyclic_and_theta_queries_keep_the_left_deep_path(self):
+        rng = np.random.default_rng(65)
+        kinds = set()
+        for _ in range(80):
+            catalog = random_instance(rng)
+            if len(catalog.join_pairs) < 2:
+                continue
+            names = tuple(r.name for r in catalog.relations)
+            ops = rng.choice(["=", "<", "!="], size=len(catalog.join_pairs), p=[0.7, 0.15, 0.15])
+            if len(catalog.join_pairs) == 3:  # the r0.c, r2.c pair closes a triangle
+                ops[2] = rng.choice(["=", "!="])
+            joins = tuple(JoinCondition(i, str(op)) for i, op in enumerate(ops))
+            q = Query(names, _random_selections(catalog, rng), joins)
+            if set(ops) != {"="}:
+                kinds.add("theta")
+            elif len(joins) == len(names):
+                kinds.add("triangle")
+            else:
+                continue
+            assert _forest_count(q, catalog, _selected(q, catalog)) is None
+            assert execute(q, catalog, "auto") == execute(q, catalog, "nested") == naive_count(q, catalog)
+        assert kinds == {"theta", "triangle"}
+
+    def test_two_conditions_between_one_pair_of_relations(self):
+        r1 = make_relation("r1", numeric=[1.0, 2.0, 2.0], categories=["x", "y", "y"])
+        r2 = make_relation("r2", numeric=[2.0, 2.0, 3.0], categories=["y", "z", "y"])
+        catalog = register_join_pair(SchemaCatalog((r1, r2)), "r1.a", "r2.a")
+        catalog = register_join_pair(catalog, "r1.c", "r2.c")
+        q = Query(("r1", "r2"), joins=(JoinCondition(0, "="), JoinCondition(1, "=")))
+        assert _forest_count(q, catalog, _selected(q, catalog)) is None
+        assert execute(q, catalog) == execute(q, catalog, "nested") == naive_count(q, catalog) == 2
+
+    def test_count_beyond_the_intermediate_bound_is_exact(self):
+        r1 = make_relation("r1", numeric=np.zeros(5000))
+        r2 = make_relation("r2", numeric=np.zeros(5000))
+        catalog = register_join_pair(SchemaCatalog((r1, r2)), "r1.a", "r2.a")
+        q = Query(("r1", "r2"), joins=(JoinCondition(0, "="),))
+        assert 5000 * 5000 > MAX_INTERMEDIATE
+        assert execute(q, catalog) == 25_000_000
+        with pytest.raises(OracleError, match="desk-scale bound"):
+            execute(q, catalog, "nested")
+
+    @pytest.mark.parametrize("rows", [200_000, 300_001])
+    def test_large_chain_count_is_exact_or_refused(self, rows):
+        relations = tuple(make_relation(f"r{i}", numeric=np.zeros(rows)) for i in range(3))
+        catalog = register_join_pair(SchemaCatalog(relations), "r0.a", "r1.a")
+        catalog = register_join_pair(catalog, "r1.a", "r2.a")
+        q = Query(("r0", "r1", "r2"), joins=(JoinCondition(0, "="), JoinCondition(1, "=")))
+        try:
+            count = execute(q, catalog)
+        except OracleError:
+            assert rows**3 >= 2**53  # refusing is allowed only past float64's exact range
+            return
+        assert count == rows**3
 
 
 class TestDifferential:
