@@ -281,6 +281,13 @@ def cmd_label(args) -> int:
     return 0
 
 
+def _encode_valid(queries, catalog, layout) -> np.ndarray:
+    """Validate every query against the catalog, then encode the batch."""
+    for q in queries:
+        q.validate(catalog)
+    return encode_batch(queries, layout, catalog)
+
+
 def cmd_encode(args) -> int:
     catalog = load_catalog_file(args.catalog)
     cfg = _effective_config(args)
@@ -291,9 +298,7 @@ def cmd_encode(args) -> int:
         bitmap_threshold=cfg["encoder"]["bitmap_threshold"],
     )
     queries = [q for q, _ in items]
-    for q in queries:
-        q.validate(catalog)
-    matrix = encode_batch(queries, layout, catalog)
+    matrix = _encode_valid(queries, catalog, layout)
 
     ids = np.asarray([q.id if q.id is not None else i for i, q in enumerate(queries)], dtype=np.int64)
     targets = None
@@ -430,7 +435,7 @@ def cmd_evaluate(args) -> int:
 
 def _encode_labeled(path, catalog, layout):
     labeled, _ = workload.load_workload(path)
-    X = encode_batch(labeled.queries(), layout, catalog)
+    X = _encode_valid(labeled.queries(), catalog, layout)
     y = np.log(labeled.cardinalities().astype(np.float64))
     return labeled, X, y
 

@@ -146,7 +146,7 @@ def finite_width_check(
     """Relative Frobenius gap between sampled and analytic output covariance."""
     start = time.perf_counter()
     empirical = sample_network_covariance(X, config, n_networks, width, seed)
-    analytic = nngp_kernel(X, None, config, include_noise=False)
+    analytic = nngp_kernel(X, None, config)
     rel = float(np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic))
     return {
         "networks": n_networks,

@@ -5,9 +5,9 @@ within each relation, then the catalog's join pairs. Every query maps to the
 same vector length regardless of how many conditions it carries; attributes
 without a condition get the neutral "selects everything" encoding.
 
-Batches always carry normalized factorized slots, so every slot lies in
-[0, 1]: raw chunk integers up to 2^chunk_size - 1 would swamp the range slots
-in the <x, x'> / d base kernel.
+For a query that validates against the catalog, every slot lies in [0, 1].
+A factorized slot holds its chunk integer divided by 2^chunk_size - 1: raw
+chunk integers would swamp the range slots in the <x, x'> / d base kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Segment:
     """One attribute's slice of the vector.
 
     kind is "range" (width 2), "bitmap" (width = domain size), or
-    "factorized" (width = ceil(m / chunk_size) integer slots).
+    "factorized" (width = ceil(m / chunk_size) normalized chunk slots).
     """
 
     attr: str
@@ -73,20 +73,6 @@ class EncodingLayout:
     bitmap_threshold: int
     catalog_hash: str
 
-    def segment_for(self, attr: str) -> Segment:
-        for seg in self.segments:
-            if seg.attr == attr:
-                return seg
-        raise EncodingError(f"attribute {attr} absent from encoding layout")
-
-    def factorized_slots(self) -> np.ndarray:
-        """Vector indices holding factorized chunk integers (for rescaling)."""
-        idx = []
-        for seg in self.segments:
-            if seg.kind == "factorized":
-                idx.extend(range(seg.offset, seg.offset + seg.width))
-        return np.asarray(idx, dtype=np.int64)
-
     def hash(self) -> str:
         doc = {
             "segments": [
@@ -109,8 +95,8 @@ def build_layout(
 
     Numerical attributes get a 2-slot range segment. Categorical attributes
     with domain size m <= bitmap_threshold get an m-bit bitmap; larger ones a
-    factorized bitmap of ceil(m / chunk_size) integer slots, each packing
-    `chunk_size` bits (MSB first).
+    factorized bitmap of ceil(m / chunk_size) slots, each packing
+    `chunk_size` bits (MSB first) into one integer.
     """
     if chunk_size < 1:
         raise EncodingError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -158,12 +144,13 @@ def _bitmap_to_chunks(bits: np.ndarray, chunk_size: int) -> list[int]:
 
 
 def encode(query: Query, layout: EncodingLayout, catalog: SchemaCatalog) -> np.ndarray:
-    """Map a query onto the layout's feature vector (raw, unnormalized).
+    """Map a query onto the layout's feature vector.
 
     Range slots hold bounds normalized into [0, 1]; bitmap slots are 0/1;
-    factorized slots hold chunk integers in [0, 2^chunk_size). Unconstrained
-    attributes encode as the full range / all-ones bitmap, absent join pairs
-    as 000.
+    factorized slots hold chunk integers divided by 2^chunk_size - 1, so they
+    lie in [0, 1] too. Unconstrained attributes encode as the full range /
+    all-ones bitmap, absent join pairs as 000. The query is not validated
+    here; out-of-domain range bounds encode outside [0, 1].
     """
     if layout.catalog_hash != catalog.content_hash:
         raise EncodingError("layout was built from a different catalog")
@@ -198,7 +185,8 @@ def encode(query: Query, layout: EncodingLayout, catalog: SchemaCatalog) -> np.n
             if seg.kind == "bitmap":
                 vec[seg.offset : seg.offset + seg.width] = bits
             else:
-                vec[seg.offset : seg.offset + seg.width] = _bitmap_to_chunks(bits, seg.chunk_size)
+                chunks = np.asarray(_bitmap_to_chunks(bits, seg.chunk_size), dtype=np.float64)
+                vec[seg.offset : seg.offset + seg.width] = chunks / float(2**seg.chunk_size - 1)
     if selections:
         raise EncodingError(f"query references attributes absent from layout: {sorted(selections)}")
 
@@ -212,24 +200,11 @@ def encode(query: Query, layout: EncodingLayout, catalog: SchemaCatalog) -> np.n
     return vec
 
 
-def normalize_features(batch: np.ndarray, layout: EncodingLayout) -> np.ndarray:
-    """Rescale factorized integer slots by 1/(2^chunk_size - 1) into [0, 1].
-
-    Bijective per slot; other slots pass through unchanged.
-    """
-    out = np.array(batch, dtype=np.float64, copy=True)
-    slots = layout.factorized_slots()
-    if slots.size:
-        out[..., slots] /= float(2**layout.chunk_size - 1)
-    return out
-
-
 def encode_batch(queries: Sequence[Query], layout: EncodingLayout, catalog: SchemaCatalog) -> np.ndarray:
-    """Encode queries into an (n, dim) matrix with normalized factorized slots."""
+    """Encode queries into an (n, dim) matrix, one `encode` row per query."""
     if not queries:
         return np.zeros((0, layout.dim), dtype=np.float64)
-    mat = np.stack([encode(q, layout, catalog) for q in queries])
-    return normalize_features(mat, layout)
+    return np.stack([encode(q, layout, catalog) for q in queries])
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,8 @@ from .kernel import KernelConfig, kernel_diag, kernel_matrix
 Q_QUANTILES = (25, 50, 75, 95)
 
 
-def q_error(true_card: float, est_card: float) -> float:
-    """Symmetric relative error max(true/est, est/true); both inputs must be >= 1."""
-    if true_card < 1 or est_card < 1:
-        raise ValueError(f"q-error needs cardinalities >= 1, got ({true_card}, {est_card})")
-    return max(true_card / est_card, est_card / true_card)
-
-
 def q_errors(true_cards: np.ndarray, est_cards: np.ndarray) -> np.ndarray:
+    """Symmetric relative errors max(true/est, est/true); every input must be >= 1."""
     true_cards = np.asarray(true_cards, dtype=np.float64)
     est_cards = np.asarray(est_cards, dtype=np.float64)
     if true_cards.shape != est_cards.shape:
@@ -110,14 +104,6 @@ def _stats_row(label: str, s: QErrorStats) -> str:
         f"{label:>10} {s.count:>7} {cells} {s.max:>9.2f} "
         f"{s.geometric_mean:>8.3f} {s.mse_log:>8.3f}"
     )
-
-
-def summarize_q_errors(
-    true_cards: np.ndarray,
-    est_cards: np.ndarray,
-    condition_counts: np.ndarray | None = None,
-) -> QErrorStats:
-    return QErrorStats.from_errors(q_errors(true_cards, est_cards), condition_counts)
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float | None:

@@ -1,8 +1,10 @@
 """Exact Gaussian-process training and prediction over log-cardinalities.
 
-Training factorizes the (noise-augmented) train-train kernel once with a
-Cholesky decomposition; prediction is then a linear smoother over the
-training targets plus a triangular solve for the predictive variance.
+Training factorizes the train-train covariance K + noise*I, which
+`kernel_matrix` returns, once with a Cholesky decomposition; the only term
+the regressor adds to it is the jitter of a failed factorization. Prediction
+is then a linear smoother over the training targets plus a triangular solve
+for the predictive variance.
 The factorization runs in place, so the factor occupies the kernel's own
 n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
 fails has consumed that buffer, so the next rung rebuilds the kernel.
@@ -252,7 +254,7 @@ def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> tuple:
     The cross kernel is built as K(X, train) and transposed, so the n x m block
     is already in Fortran order and the triangular solve runs in its memory.
     """
-    k_star = kernel_matrix(X, estimator.X_train, estimator.config, include_noise=False).T
+    k_star = kernel_matrix(X, estimator.X_train, estimator.config).T
     mean = k_star.T @ estimator.alpha
     v = solve_triangular(estimator.chol, k_star, lower=True, overwrite_b=True, check_finite=False)
     return mean, v

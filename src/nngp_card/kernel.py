@@ -25,6 +25,11 @@ of a fixed number of entries: each block gets its base values and then every
 depth layer, in place, while it is in cache. A same-batch matrix computes
 only its lower-triangular blocks and mirrors each one, so a build allocates
 one n x m output and block-sized scratch, nothing more.
+
+`nngp_kernel` and `rbf_kernel` return the noise-free prior covariance.
+Observation noise is the regressor's: `kernel_matrix` is the one place that
+puts it on a kernel, on the diagonal of the same-batch (training) matrix;
+its cross-batch matrices carry none.
 """
 
 from __future__ import annotations
@@ -242,27 +247,18 @@ def _mirror_block(K: np.ndarray, lo: int, hi: int) -> None:
 
 
 def nngp_kernel(
-    X: np.ndarray,
-    X2: Optional[np.ndarray] = None,
-    config: KernelConfig = KernelConfig(),
-    include_noise: Optional[bool] = None,
+    X: np.ndarray, X2: Optional[np.ndarray] = None, config: KernelConfig = KernelConfig()
 ) -> np.ndarray:
-    """Depth-recursed network kernel matrix.
+    """Depth-recursed network kernel matrix, without observation noise.
 
     X2=None computes the symmetric same-batch matrix: only the lower-triangular
-    row blocks are computed, each is mirrored in place, the diagonal is taken
-    from the exact diagonal recurrence, and (by default) the observation noise
-    lands on the diagonal.
-    Cross matrices never receive noise unless explicitly requested.
+    row blocks are computed, each is mirrored in place, and the diagonal is
+    taken from the exact diagonal recurrence, so it equals `kernel_diag`.
     Depth 0 is exactly the base kernel.
     """
     same = X2 is None
-    if include_noise is None:
-        include_noise = same
     X, X2 = _batches(X, X2)
     n, m = len(X), len(X2)
-    if include_noise and n != m:
-        raise KernelError("noise can only be added to a square same-batch matrix")
     row_diags = _diag_layers(X, config)
     col_diags = row_diags if same else _diag_layers(X2, config)
     relu = config.activation == "relu"
@@ -285,8 +281,6 @@ def nngp_kernel(
             _mirror_block(K, lo, hi)
     if same:
         np.fill_diagonal(K, row_diags[-1])
-    if include_noise:
-        K[np.diag_indices_from(K)] += config.noise_sq
     return K
 
 
@@ -311,16 +305,17 @@ def rbf_kernel(
 
 
 def kernel_matrix(
-    X: np.ndarray,
-    X2: Optional[np.ndarray] = None,
-    config: KernelConfig = KernelConfig(),
-    include_noise: Optional[bool] = None,
+    X: np.ndarray, X2: Optional[np.ndarray] = None, config: KernelConfig = KernelConfig()
 ) -> np.ndarray:
-    """Family dispatch used by the regressor (noise handling as in nngp_kernel)."""
+    """The regressor's covariance of the configured kernel family.
+
+    X2=None gives the training covariance K(X, X) + noise_sq * I; a cross
+    matrix K(X, X2) carries no noise.
+    """
     if config.kernel_family == "rbf":
-        same = X2 is None
         K = rbf_kernel(X, X2, config.length_scale)
-        if include_noise if include_noise is not None else same:
-            K[np.diag_indices_from(K)] += config.noise_sq
-        return K
-    return nngp_kernel(X, X2, config, include_noise)
+    else:
+        K = nngp_kernel(X, X2, config)
+    if X2 is None:
+        K[np.diag_indices_from(K)] += config.noise_sq
+    return K

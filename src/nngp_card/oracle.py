@@ -103,31 +103,31 @@ def execute_batch(
 ) -> list[int]:
     """Element-wise `execute` with order preserved.
 
-    All queries are validated up front so the first invalid one is reported
-    with its index regardless of worker scheduling.
+    Each query is validated once, by `execute`; a QueryError is re-raised as
+    "query {idx}: ...". Each span of queries runs in order and the pool
+    re-raises in span order, so the lowest failing index is the one reported,
+    whatever the thread count.
     """
-    for idx, query in enumerate(queries):
-        try:
-            query.validate(catalog)
-        except QueryError as exc:
-            raise QueryError(f"query {idx}: {exc}") from None
-
     if threads is None:
         threads = os.cpu_count() or 1
+
+    def run(lo: int, hi: int) -> list[int]:
+        labels = []
+        for idx in range(lo, hi):
+            try:
+                labels.append(execute(queries[idx], catalog, strategy))
+            except QueryError as exc:
+                raise QueryError(f"query {idx}: {exc}") from None
+        return labels
+
     if threads <= 1 or len(queries) < 4:
-        return [execute(q, catalog, strategy) for q in queries]
+        return run(0, len(queries))
 
     chunk = max(1, len(queries) // (threads * 4))
     spans = [(i, min(i + chunk, len(queries))) for i in range(0, len(queries), chunk)]
-    out: list[list[int]] = [None] * len(spans)  # type: ignore[list-item]
-
-    def run(span_idx: int) -> None:
-        lo, hi = spans[span_idx]
-        out[span_idx] = [execute(q, catalog, strategy) for q in queries[lo:hi]]
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(len(spans))))
-    return [label for part in out for label in part]
+        parts = list(pool.map(lambda span: run(*span), spans))
+    return [label for part in parts for label in part]
 
 
 # ---------------------------------------------------------------------------

@@ -226,16 +226,6 @@ class SchemaCatalog:
                 return i
         raise CatalogError(f"join pair ({left}, {right}) not registered")
 
-    def join_graph(self) -> dict[str, list[tuple[int, str]]]:
-        """Adjacency: relation name -> [(pair index, neighbour relation)]."""
-        adj: dict[str, list[tuple[int, str]]] = {r.name: [] for r in self.relations}
-        for i, (left, right) in enumerate(self.join_pairs):
-            lrel, _ = split_ref(left)
-            rrel, _ = split_ref(right)
-            adj[lrel].append((i, rrel))
-            adj[rrel].append((i, lrel))
-        return adj
-
     def describe(self) -> dict:
         """Canonical JSON-compatible description (domains included); feeds hashing."""
         rels = []

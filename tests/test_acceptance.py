@@ -16,8 +16,9 @@ from nngp_card import gp
 from nngp_card.diagnostics import finite_width_check, kernel_mc_check
 from nngp_card.encoder import build_layout, encode_batch
 from nngp_card.evaluation import (
+    QErrorStats,
     active_learn,
-    summarize_q_errors,
+    q_errors,
     uncertainty_error_report,
 )
 from nngp_card.kernel import KernelConfig, base_kernel, nngp_kernel
@@ -171,7 +172,7 @@ class TestCriterion4:
             )
             worst = max(
                 worst,
-                float(np.max(np.abs(nngp_kernel(X, None, cfg, include_noise=False) - base_kernel(X, None, cfg)))),
+                float(np.max(np.abs(nngp_kernel(X, None, cfg) - base_kernel(X, None, cfg)))),
                 float(np.max(np.abs(nngp_kernel(X, X2, cfg) - base_kernel(X, X2, cfg)))),
             )
         ok = worst <= 1e-12
@@ -208,7 +209,7 @@ class TestCriterion6:
         t0 = time.perf_counter()
         est = gp.fit(desk["X_train"], desk["y_train"], KernelConfig())
         pred = gp.predict(est, desk["X_test"])
-        stats = summarize_q_errors(desk["test_cards"], pred.card_estimate, desk["test_conds"])
+        stats = QErrorStats.from_errors(q_errors(desk["test_cards"], pred.card_estimate), desk["test_conds"])
         elapsed = desk["build_seconds"] + (time.perf_counter() - t0)
         desk["crit6_prediction"] = pred
         ok = stats.quantiles[50] <= 2.0 and stats.quantiles[75] <= 4.0 and elapsed < 300
@@ -286,8 +287,8 @@ class TestCriterion10:
         pred8000 = desk.get("pred8000") or gp.predict(est8000, desk["X_test"])
         est1000 = gp.fit(desk["X_big"][:1000], desk["y_big"][:1000], KernelConfig())
         pred1000 = gp.predict(est1000, desk["X_test"])
-        median8000 = summarize_q_errors(desk["test_cards"], pred8000.card_estimate).quantiles[50]
-        median1000 = summarize_q_errors(desk["test_cards"], pred1000.card_estimate).quantiles[50]
+        median8000 = QErrorStats.from_errors(q_errors(desk["test_cards"], pred8000.card_estimate)).quantiles[50]
+        median1000 = QErrorStats.from_errors(q_errors(desk["test_cards"], pred1000.card_estimate)).quantiles[50]
         ok = median1000 <= 4.0 * median8000
         report(
             10,

@@ -10,7 +10,8 @@ import pytest
 
 from nngp_card import cli
 from nngp_card.kernel import KernelConfig
-from nngp_card.workload import load_workload
+from nngp_card.queries import Query, RangeFilter
+from nngp_card.workload import WorkloadItem, load_workload, save_workload
 
 SPEC = {
     "relations": [
@@ -152,7 +153,7 @@ class TestGoldenPath:
         out = run([
             "evaluate", "--pred", root / "pred.jsonl", "--labeled", root / "labeled.test.jsonl",
         ], capsys=capsys)
-        from nngp_card.evaluation import summarize_q_errors
+        from nngp_card.evaluation import QErrorStats, q_errors
 
         test_wl, _ = load_workload(root / "labeled.test.jsonl")
         preds = {}
@@ -162,7 +163,7 @@ class TestGoldenPath:
                 preds[doc["query_id"]] = doc["card_estimate"]
         true = test_wl.cardinalities().astype(float)
         est = np.array([preds[it.query.id] for it in test_wl.items])
-        stats = summarize_q_errors(true, est)
+        stats = QErrorStats.from_errors(q_errors(true, est))
         report = json.loads((root / "report.json").read_text())
         assert report["q_error_stats"]["quantiles"]["50"] == pytest.approx(stats.quantiles[50])
         assert report["q_error_stats"]["geometric_mean"] == pytest.approx(stats.geometric_mean)
@@ -312,6 +313,25 @@ class TestActiveLearnCommand:
         # the fallback count goes to the log, not into the output file
         assert "refit the union in 0 of 2 iterations" in caplog.text
         assert "refits" not in doc
+
+    def test_out_of_domain_pool_query_rejected(self, pipeline_dir, tmp_path, capsys):
+        root, catalog = pipeline_dir
+        pool, header = load_workload(root / "labeled.valid.jsonl")
+        first = pool.items[0]
+        wide = Query(("emp",), (("emp.age", RangeFilter(-50.0, 80.0)),), id=first.query.id)
+        pool.items[0] = WorkloadItem(wide, first.cardinality)
+        save_workload(tmp_path / "pool.jsonl", pool, header=header)
+        code = cli.main([
+            "active-learn", "--catalog", str(catalog),
+            "--train", str(root / "labeled.train.jsonl"),
+            "--pool", str(tmp_path / "pool.jsonl"),
+            "--test", str(root / "labeled.test.jsonl"),
+            "--iterations", "1", "--k", "5", "--out", str(tmp_path / "al.json"),
+        ])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "QueryError" and "outside domain" in error["message"]
+        assert not (tmp_path / "al.json").exists()
 
 
 class TestMisc:

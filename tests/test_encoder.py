@@ -11,7 +11,6 @@ from nngp_card.encoder import (
     encode,
     encode_batch,
     load_encoded,
-    normalize_features,
     save_encoded,
 )
 from nngp_card.queries import InFilter, JoinCondition, Query, RangeFilter
@@ -36,6 +35,17 @@ def categorical_relation(name, m, seed=0):
     return rel
 
 
+def segment(layout, attr):
+    (seg,) = [s for s in layout.segments if s.attr == attr]
+    return seg
+
+
+def factorized_slots(layout):
+    return [
+        i for s in layout.segments if s.kind == "factorized" for i in range(s.offset, s.offset + s.width)
+    ]
+
+
 class TestLayout:
     def test_single_numerical_attribute(self):
         rel = make_relation("r", numeric=[0.0, 1.0])
@@ -46,14 +56,14 @@ class TestLayout:
     def test_small_domain_uses_bitmap(self):
         rel = categorical_relation("r", 5)
         layout = build_layout(SchemaCatalog((rel,)), bitmap_threshold=8)
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         assert seg.kind == "bitmap"
         assert seg.width == 5
 
     def test_large_domain_uses_factorized_chunks(self):
         rel = categorical_relation("r", 12)
         layout = build_layout(SchemaCatalog((rel,)), chunk_size=4, bitmap_threshold=8)
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         assert seg.kind == "factorized"
         assert seg.width == 3  # ceil(12 / 4)
 
@@ -115,7 +125,7 @@ class TestBitmapEncoding:
         catalog = SchemaCatalog((rel,))
         layout = build_layout(catalog, bitmap_threshold=8)
         q = Query(("r",), (("r.c", InFilter(("v00", "v03"))),))
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         vec = encode(q, layout, catalog)
         assert vec[seg.offset : seg.offset + 5].tolist() == [1, 0, 0, 1, 0]
 
@@ -123,33 +133,34 @@ class TestBitmapEncoding:
         rel = categorical_relation("r", 5)
         catalog = SchemaCatalog((rel,))
         layout = build_layout(catalog, bitmap_threshold=8)
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         vec = encode(Query(("r",)), layout, catalog)
         assert vec[seg.offset : seg.offset + 5].tolist() == [1] * 5
 
     def test_factorized_chunk_integers(self):
         # m=8, s=4, C = {c_1, c_3} -> bitmap 10100000 -> chunks (1010, 0000)
-        # Independent conversion: int("1010", 2) == 10, int("0000", 2) == 0.
+        # Independent conversion: int("1010", 2) == 10, int("0000", 2) == 0;
+        # each slot holds its chunk integer over 2^4 - 1.
         rel = categorical_relation("r", 8)
         catalog = SchemaCatalog((rel,))
         layout = build_layout(catalog, chunk_size=4, bitmap_threshold=4)
         q = Query(("r",), (("r.c", InFilter(("v00", "v02"))),))
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         vec = encode(q, layout, catalog)
 
         bitmap = "".join("1" if f"v{i:02d}" in ("v00", "v02") else "0" for i in range(8))
         expected = [int(bitmap[i : i + 4], 2) for i in range(0, 8, 4)]
         assert expected == [10, 0]
-        assert vec[seg.offset : seg.offset + 2].tolist() == expected
+        assert vec[seg.offset : seg.offset + 2].tolist() == [10 / 15, 0.0]
 
     def test_factorized_neutral_partial_chunk(self):
         # m=10, s=4: neutral all-ones bitmap -> chunks 1111 1111 11 -> 15, 15, 3
         rel = categorical_relation("r", 10)
         catalog = SchemaCatalog((rel,))
         layout = build_layout(catalog, chunk_size=4, bitmap_threshold=4)
-        seg = layout.segment_for("r.c")
+        seg = segment(layout, "r.c")
         vec = encode(Query(("r",)), layout, catalog)
-        assert vec[seg.offset : seg.offset + 3].tolist() == [15.0, 15.0, 3.0]
+        assert vec[seg.offset : seg.offset + 3].tolist() == [1.0, 1.0, 3 / 15]
 
 
 class TestJoinBits:
@@ -186,35 +197,53 @@ class TestJoinBits:
 class TestNormalization:
     @pytest.fixture
     def setup(self):
+        # m=20, s=8: factorized chunks of 8, 8 and 4 bits
         rel = categorical_relation("r", 20)
         catalog = SchemaCatalog((rel,))
         return catalog, build_layout(catalog, chunk_size=8, bitmap_threshold=16)
 
     def test_extremes(self, setup):
         catalog, layout = setup
-        slots = layout.factorized_slots()
-        raw = np.zeros((2, layout.dim))
-        raw[1, slots] = 2**8 - 1
-        normed = normalize_features(raw, layout)
-        assert np.all(normed[0, slots] == 0.0)
-        assert np.all(normed[1, slots] == 1.0)
+        seg = segment(layout, "r.c")
+        full = encode(Query(("r",)), layout, catalog)
+        assert full[seg.offset : seg.offset + 3].tolist() == [1.0, 1.0, 15 / 255]
+        last_chunk = Query(("r",), (("r.c", InFilter(("v16", "v19"))),))
+        vec = encode(last_chunk, layout, catalog)
+        assert vec[seg.offset : seg.offset + 3].tolist() == [0.0, 0.0, 9 / 255]
 
     def test_round_trip_bijective(self, setup):
+        # slot * (2^8 - 1) recovers each chunk integer, computed independently
         catalog, layout = setup
+        seg = segment(layout, "r.c")
         rng = np.random.default_rng(0)
-        raw = rng.integers(0, 256, size=(5, layout.dim)).astype(float)
-        normed = normalize_features(raw, layout)
-        slots = layout.factorized_slots()
-        normed[:, slots] *= 2**8 - 1
-        assert np.allclose(normed, raw)
+        values = [f"v{i:02d}" for i in range(20)]
+        for _ in range(20):
+            chosen = tuple(sorted(rng.choice(values, size=int(rng.integers(1, 21)), replace=False)))
+            vec = encode(Query(("r",), (("r.c", InFilter(chosen)),)), layout, catalog)
+            bitmap = "".join("1" if v in chosen else "0" for v in values)
+            chunks = [int(bitmap[i : i + 8], 2) for i in range(0, 20, 8)]
+            slots = vec[seg.offset : seg.offset + 3] * (2**8 - 1)
+            np.testing.assert_allclose(slots, chunks, rtol=0, atol=1e-9)
 
     def test_non_factorized_slots_untouched(self, setup):
         catalog, layout = setup
+        ctype = catalog.resolve("r.a")
         q = Query(("r",), (("r.a", RangeFilter(10.0, 20.0)),))
-        raw = encode(q, layout, catalog)
-        normed = normalize_features(raw, layout)
-        seg = layout.segment_for("r.a")
-        assert np.array_equal(raw[seg.offset : seg.offset + 2], normed[seg.offset : seg.offset + 2])
+        seg = segment(layout, "r.a")
+        vec = encode_batch([q], layout, catalog)[0]
+        expected = [(10.0 - ctype.lo) / ctype.width, (20.0 - ctype.lo) / ctype.width]
+        assert vec[seg.offset : seg.offset + 2].tolist() == expected
+
+    @pytest.mark.parametrize("chunk_size", [3, 5, 8])
+    def test_encode_is_the_batch_row(self, pipeline, chunk_size):
+        catalog, _, labeled = pipeline
+        layout = build_layout(catalog, chunk_size=chunk_size, bitmap_threshold=4)
+        queries = labeled.queries()
+        batch = encode_batch(queries, layout, catalog)
+        for q, row in zip(queries, batch):
+            assert np.array_equal(encode(q, layout, catalog), row)
+        slots = factorized_slots(layout)
+        assert slots and np.all((batch[:, slots] >= 0.0) & (batch[:, slots] <= 1.0))
 
 
 @pytest.fixture(scope="module")

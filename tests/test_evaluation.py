@@ -10,10 +10,8 @@ from nngp_card.evaluation import (
     QErrorStats,
     active_learn,
     mse_log,
-    q_error,
     q_errors,
     spearman,
-    summarize_q_errors,
     uncertainty_error_report,
 )
 from nngp_card.kernel import KernelConfig
@@ -21,17 +19,17 @@ from nngp_card.kernel import KernelConfig
 
 class TestQError:
     def test_overestimate(self):
-        assert q_error(100, 50) == 2.0
+        assert q_errors([100.0], [50.0]).tolist() == [2.0]
 
     def test_exact(self):
-        assert q_error(7, 7) == 1.0
+        assert q_errors([7.0], [7.0]).tolist() == [1.0]
 
     def test_symmetric(self):
-        assert q_error(50, 100) == q_error(100, 50) == 2.0
+        assert q_errors([50.0, 100.0], [100.0, 50.0]).tolist() == [2.0, 2.0]
 
     def test_inputs_below_one_rejected(self):
         with pytest.raises(ValueError):
-            q_error(0.5, 10)
+            q_errors(np.array([0.5]), np.array([10.0]))
         with pytest.raises(ValueError):
             q_errors(np.array([2.0, 0.9]), np.array([2.0, 2.0]))
 
@@ -41,7 +39,7 @@ class TestQError:
         e = rng.uniform(1, 1e5, 40)
         vec = q_errors(t, e)
         for i in range(40):
-            assert vec[i] == pytest.approx(q_error(t[i], e[i]))
+            assert vec[i] == pytest.approx(max(t[i] / e[i], e[i] / t[i]))
 
 
 class TestMseLog:
@@ -91,13 +89,13 @@ class TestQErrorStats:
         true = rng.uniform(1, 1e4, 40)
         est = rng.uniform(1, 1e4, 40)
         conds = np.repeat([2, 3], 20)
-        stats = summarize_q_errors(true, est, conds)
+        stats = QErrorStats.from_errors(q_errors(true, est), conds)
         assert stats.mse_log == pytest.approx(mse_log(true, est))
         assert stats.by_condition_count[2].mse_log == pytest.approx(mse_log(true[:20], est[:20]))
         assert stats.by_condition_count[3].mse_log == pytest.approx(mse_log(true[20:], est[20:]))
 
     def test_text_table_has_rows(self):
-        stats = summarize_q_errors(np.array([4.0, 2.0]), np.array([2.0, 2.0]), np.array([2, 3]))
+        stats = QErrorStats.from_errors(q_errors([4.0, 2.0], [2.0, 2.0]), np.array([2, 3]))
         text = stats.to_text()
         assert "all" in text and text.count("\n") == 3
 
@@ -187,7 +185,7 @@ class TestLossOrderingEquivalence:
         true = rng.uniform(10, 1000, 50)
         candidates = [np.maximum(1.0, true * np.exp(rng.normal(0, s, 50))) for s in (0.1, 0.4, 0.9, 1.5)]
         mses = [mse_log(true, est) for est in candidates]
-        gmeans = [summarize_q_errors(true, est).geometric_mean for est in candidates]
+        gmeans = [QErrorStats.from_errors(q_errors(true, est)).geometric_mean for est in candidates]
         assert np.argsort(mses).tolist() == np.argsort(gmeans).tolist()
 
 

@@ -1,5 +1,6 @@
 """Exact GP regression: inference identities, intervals, CoV, persistence."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 from nngp_card import gp
 from nngp_card.gp import FitError, ModelIOError
-from nngp_card.kernel import KernelConfig, nngp_kernel
+from nngp_card.kernel import KernelConfig, kernel_diag, kernel_matrix, nngp_kernel, rbf_kernel
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ class TestFit:
         y = np.array([3.0])
         cfg = KernelConfig(noise_sq=0.0)
         est = gp.fit(X, y, cfg)
-        k_xx = nngp_kernel(X, None, cfg, include_noise=False)[0, 0]
+        k_xx = nngp_kernel(X, None, cfg)[0, 0]
         assert est.alpha[0] == pytest.approx(3.0 / (k_xx + est.jitter), rel=1e-9)
         assert gp.predict(est, X).mean_log[0] == pytest.approx(3.0, abs=1e-9)
 
@@ -57,11 +58,33 @@ class TestFit:
         y = rng.uniform(0, 9, 64)
         cfg = KernelConfig(noise_sq=1e-3)
         est = gp.fit(X, y, cfg)
-        K = nngp_kernel(X, None, cfg)
+        K = kernel_matrix(X, None, cfg)
         K[np.diag_indices_from(K)] += est.jitter
         rebuilt = est.chol @ est.chol.T
         assert np.linalg.norm(rebuilt - K) / np.linalg.norm(K) < 1e-6
         assert np.linalg.norm(K @ est.alpha - y) < 1e-6
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)]
+        + [KernelConfig(kernel_family="rbf", length_scale=0.8)],
+        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)] + ["rbf"],
+    )
+    @pytest.mark.parametrize("noise_sq", [1e-3, 0.0])
+    def test_factor_is_the_noise_free_kernel_plus_noise_and_jitter(self, cfg, noise_sq):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(0, 1, (40, 6))
+        X[-5:] = X[:5]  # duplicated rows: without noise the kernel is singular
+        cfg = dataclasses.replace(cfg, noise_sq=noise_sq)
+        est = gp.fit(X, rng.uniform(0, 8, 40), cfg)
+        assert (est.jitter > 0.0) == (noise_sq == 0.0)
+        if cfg.kernel_family == "rbf":
+            K = rbf_kernel(X, None, cfg.length_scale)
+        else:
+            K = nngp_kernel(X, None, cfg)
+        assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg))
+        K[np.diag_indices_from(K)] += noise_sq + est.jitter
+        assert np.linalg.norm(est.chol @ est.chol.T - K) / np.linalg.norm(K) < 1e-12
 
     def test_failure_reports_diagnostics_of_the_unfactorized_kernel(self, monkeypatch):
         builds = []
@@ -200,12 +223,12 @@ class TestPredict:
         est = gp.fit(X, y, cfg)
         pred = gp.predict(est, x_star)
 
-        K = nngp_kernel(X, None, cfg)
+        K = kernel_matrix(X, None, cfg)
         a, b, c = K[0, 0], K[0, 1], K[1, 1]
         det = a * c - b * b
         Kinv = np.array([[c, -b], [-b, a]]) / det
         ks = nngp_kernel(X, x_star, cfg)[:, 0]
-        kss = nngp_kernel(x_star, None, cfg, include_noise=False)[0, 0]
+        kss = nngp_kernel(x_star, None, cfg)[0, 0]
         mean_ref = ks @ Kinv @ y
         var_ref = kss - ks @ Kinv @ ks
         assert pred.mean_log[0] == pytest.approx(mean_ref, rel=1e-10)

@@ -13,11 +13,19 @@ from nngp_card.kernel import (
     base_kernel,
     erf_kernel_step,
     kernel_diag,
+    kernel_matrix,
     nngp_kernel,
     rbf_kernel,
     relu_layer_step,
     row_blocks,
 )
+
+
+def _prior(X, X2, cfg):
+    """The noise-free covariance of cfg's kernel family."""
+    if cfg.kernel_family == "rbf":
+        return rbf_kernel(X, X2, cfg.length_scale)
+    return nngp_kernel(X, X2, cfg)
 
 
 class TestConfig:
@@ -143,7 +151,7 @@ class TestDepthRecursion:
         X = rng.uniform(0, 1, (10, 7))
         cfg = KernelConfig(depth=0, noise_sq=0.0)
         np.testing.assert_allclose(
-            nngp_kernel(X, None, cfg, include_noise=False), base_kernel(X, None, cfg), atol=1e-12
+            nngp_kernel(X, None, cfg), base_kernel(X, None, cfg), atol=1e-12
         )
 
     def test_diagonal_matches_scalar_recurrence(self):
@@ -151,7 +159,7 @@ class TestDepthRecursion:
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (6, 5))
         cfg = KernelConfig(sigma_w_sq=1.6, sigma_b_sq=0.1, depth=3, noise_sq=0.0)
-        K = nngp_kernel(X, None, cfg, include_noise=False)
+        K = nngp_kernel(X, None, cfg)
         for i in range(len(X)):
             a = 0.1 + 1.6 * sum(float(v) ** 2 for v in X[i]) / 5
             for _ in range(3):
@@ -162,7 +170,7 @@ class TestDepthRecursion:
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, (4, 3))
         cfg = KernelConfig(sigma_w_sq=1.2, sigma_b_sq=0.3, depth=2, activation="erf", noise_sq=0.0)
-        K = nngp_kernel(X, None, cfg, include_noise=False)
+        K = nngp_kernel(X, None, cfg)
         for i in range(len(X)):
             a = 0.3 + 1.2 * sum(float(v) ** 2 for v in X[i]) / 3
             for _ in range(2):
@@ -173,24 +181,29 @@ class TestDepthRecursion:
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, (8, 4))
         cfg = KernelConfig(depth=3, noise_sq=0.0)
-        full = nngp_kernel(X, None, cfg, include_noise=False)
+        full = nngp_kernel(X, None, cfg)
         cross = nngp_kernel(X[:5], X[5:], cfg)
         np.testing.assert_allclose(cross, full[:5, 5:], atol=1e-12)
 
     def test_noise_only_on_same_batch_diagonal(self):
+        # the family kernels are noise-free; kernel_matrix adds noise_sq to
+        # the same-batch diagonal and nowhere else
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (5, 4))
-        cfg = KernelConfig(depth=1, noise_sq=0.25)
-        with_noise = nngp_kernel(X, None, cfg)
-        without = nngp_kernel(X, None, cfg, include_noise=False)
-        np.testing.assert_allclose(with_noise - without, 0.25 * np.eye(5), atol=1e-14)
-        cross = nngp_kernel(X, X.copy(), cfg)
-        np.testing.assert_allclose(cross, without, atol=1e-12)
+        for cfg in (KernelConfig(depth=1, noise_sq=0.25), KernelConfig(kernel_family="rbf", noise_sq=0.25)):
+            without = _prior(X, None, cfg)
+            assert np.array_equal(np.diagonal(without), kernel_diag(X, cfg))
+            expected = without.copy()
+            expected[np.diag_indices_from(expected)] += 0.25
+            assert np.array_equal(kernel_matrix(X, None, cfg), expected)
+            cross = kernel_matrix(X, X.copy(), cfg)
+            assert np.array_equal(cross, _prior(X, X.copy(), cfg))
+            np.testing.assert_allclose(cross, without, atol=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 1, (20, 6))
-        K = nngp_kernel(X, None, KernelConfig(depth=4, noise_sq=0.0), include_noise=False)
+        K = nngp_kernel(X, None, KernelConfig(depth=4, noise_sq=0.0))
         assert np.array_equal(K, K.T)
 
     def test_permutation_equivariance(self):
@@ -198,8 +211,8 @@ class TestDepthRecursion:
         X = rng.uniform(0, 1, (12, 5))
         perm = rng.permutation(12)
         cfg = KernelConfig(depth=2, noise_sq=0.0)
-        K = nngp_kernel(X, None, cfg, include_noise=False)
-        Kp = nngp_kernel(X[perm], None, cfg, include_noise=False)
+        K = nngp_kernel(X, None, cfg)
+        Kp = nngp_kernel(X[perm], None, cfg)
         np.testing.assert_allclose(Kp, K[np.ix_(perm, perm)], atol=1e-12)
 
     def test_psd_after_jitter_on_random_batches(self):
@@ -209,7 +222,7 @@ class TestDepthRecursion:
             d = int(rng.integers(2, 10))
             X = rng.uniform(0, 1, (n, d))
             cfg = KernelConfig(depth=int(rng.integers(0, 4)), noise_sq=0.0)
-            K = nngp_kernel(X, None, cfg, include_noise=False)
+            K = nngp_kernel(X, None, cfg)
             K[np.diag_indices_from(K)] += 1e-8 * np.mean(np.diagonal(K))
             min_eig = float(np.linalg.eigvalsh(K)[0])
             assert min_eig >= -1e-8 * np.trace(K) / n
@@ -219,7 +232,7 @@ class TestDepthRecursion:
         X = rng.uniform(0, 1, (9, 4))
         for activation in ("relu", "erf"):
             cfg = KernelConfig(depth=3, activation=activation, noise_sq=0.0)
-            K = nngp_kernel(X, None, cfg, include_noise=False)
+            K = nngp_kernel(X, None, cfg)
             np.testing.assert_allclose(kernel_diag(X, cfg), np.diag(K), atol=1e-12)
 
 
@@ -246,10 +259,10 @@ class TestBlockBuild:
         top = KernelConfig(depth=4, activation=activation, noise_sq=0.01)
         for depth, ref in enumerate(_dense_layers(X, None, top)):
             cfg = dataclasses.replace(top, depth=depth)
-            K = nngp_kernel(X, None, cfg)
+            K = nngp_kernel(X, None, cfg)  # noise-free whatever noise_sq says
             assert np.array_equal(K, K.T)
-            assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg) + cfg.noise_sq)
-            np.testing.assert_allclose(K - cfg.noise_sq * np.eye(n), ref, rtol=1e-12, atol=0)
+            assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg))
+            np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("activation", ["relu", "erf"])
     @pytest.mark.parametrize("m", [1, 123])

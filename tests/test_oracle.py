@@ -277,6 +277,27 @@ class TestBatch:
         bad = Query(("t",), (("t.a", RangeFilter(-5.0, 2.0)),))
         with pytest.raises(QueryError, match="query 1"):
             execute_batch([good, bad, bad], catalog)
+        # pooled: spans of one query each, so several workers fail at once
+        batch = [good] * 5 + [bad] + [good] * 3 + [bad] * 3
+        for threads in (1, 2):
+            with pytest.raises(QueryError, match=r"^query 5: "):
+                execute_batch(batch, catalog, threads=threads)
+
+    def test_each_query_is_validated_once(self, tiny_relation, monkeypatch):
+        catalog = SchemaCatalog((tiny_relation,))
+        queries = [Query(("t",), (("t.a", RangeFilter(1.0, float(ub))),)) for ub in (1, 2, 3, 3, 2, 1)]
+        calls = []
+        original = Query.validate
+
+        def counting(self, catalog):
+            calls.append(self)
+            return original(self, catalog)
+
+        monkeypatch.setattr(Query, "validate", counting)
+        for threads in (1, 2):
+            calls.clear()
+            assert execute_batch(queries, catalog, threads=threads) == [1, 2, 3, 3, 2, 1]
+            assert len(calls) == len(queries)
 
     def test_thread_count_invariance(self):
         rng = np.random.default_rng(31)
