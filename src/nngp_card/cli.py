@@ -70,6 +70,13 @@ def _json_line(doc: dict) -> str:
     return json.dumps(_jsonify(doc), sort_keys=True, allow_nan=False)
 
 
+def _write_json(path, doc: dict) -> None:
+    """Write `doc` as an indented, key-sorted JSON file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -196,9 +203,7 @@ def cmd_synth(args) -> int:
 
     catalog_doc = {"relations": entries, "join_pairs": spec.get("join_pairs", [])}
     catalog_path = out_dir / "catalog.json"
-    with open(catalog_path, "w", encoding="utf-8") as fh:
-        json.dump(catalog_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(catalog_path, catalog_doc)
     load_catalog_file(catalog_path)  # validates join pairs against the data
     print(_json_line({"catalog": str(catalog_path), "relations": [e["name"] for e in entries]}))
     return 0
@@ -273,19 +278,10 @@ def cmd_label(args) -> int:
             part_header = dict(header)
             part_header["split"] = name
             workload.save_workload(f"{prefix}.{name}.jsonl", part, header=part_header)
-        with open(f"{prefix}.split.json", "w", encoding="utf-8") as fh:
-            json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(f"{prefix}.split.json", report)
         summary["split"] = report["counts"]
     print(_json_line(summary))
     return 0
-
-
-def _encode_valid(queries, catalog, layout) -> np.ndarray:
-    """Validate every query against the catalog, then encode the batch."""
-    for q in queries:
-        q.validate(catalog)
-    return encode_batch(queries, layout, catalog)
 
 
 def cmd_encode(args) -> int:
@@ -298,7 +294,7 @@ def cmd_encode(args) -> int:
         bitmap_threshold=cfg["encoder"]["bitmap_threshold"],
     )
     queries = [q for q, _ in items]
-    matrix = _encode_valid(queries, catalog, layout)
+    matrix = encode_batch(queries, layout, catalog)
 
     ids = np.asarray([q.id if q.id is not None else i for i, q in enumerate(queries)], dtype=np.int64)
     targets = None
@@ -345,6 +341,10 @@ def cmd_train(args) -> int:
     return 0
 
 
+# the per-query `Prediction` fields of a predictions record, besides its query_id
+_RECORD_FIELDS = ("card_estimate", "mean_log", "var_log", "ci_low", "ci_high", "cov")
+
+
 def cmd_predict(args) -> int:
     cfg_delta = args.delta if args.delta is not None else 0.95
     estimator = gp.load(args.model)
@@ -359,27 +359,16 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_json_line({"_header": header}) + "\n")
         for i in range(len(X)):
-            fh.write(
-                _json_line(
-                    {
-                        "query_id": int(ids[i]),
-                        "card_estimate": float(prediction.card_estimate[i]),
-                        "mean_log": float(prediction.mean_log[i]),
-                        "var_log": float(prediction.var_log[i]),
-                        "ci_low": float(prediction.ci_low[i]),
-                        "ci_high": float(prediction.ci_high[i]),
-                        "cov": float(prediction.cov[i]),
-                    }
-                )
-                + "\n"
-            )
+            record = {name: float(getattr(prediction, name)[i]) for name in _RECORD_FIELDS}
+            fh.write(_json_line({"query_id": int(ids[i]), **record}) + "\n")
     log.info("predicted %d queries -> %s", len(X), args.out)
     print(_json_line({"out": args.out, "n": len(X)}))
     return 0
 
 
-def _read_predictions(path) -> dict[int, dict]:
-    out = {}
+def _read_predictions(path) -> tuple[dict[int, dict], dict]:
+    """Prediction records by query id, and the file's header."""
+    out, header = {}, None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -387,45 +376,36 @@ def _read_predictions(path) -> dict[int, dict]:
                 continue
             doc = json.loads(line)
             if "_header" in doc:
+                header = doc["_header"]
                 continue
             cov = doc.get("cov")
             doc["cov"] = float("inf") if cov is None else float(cov)
             out[int(doc["query_id"])] = doc
-    return out
+    if header is None or "delta" not in header:
+        raise CLIError(f"{path} has no predictions header with a delta")
+    return out, header
 
 
 def cmd_evaluate(args) -> int:
     labeled, _ = workload.load_workload(args.labeled)
-    preds = _read_predictions(args.pred)
+    preds, pred_header = _read_predictions(args.pred)
     missing = [it.query.id for it in labeled if it.query.id not in preds]
     if missing:
         raise CLIError(f"{len(missing)} labeled queries lack predictions (first: {missing[:5]})")
     ordered = [preds[it.query.id] for it in labeled]
-    true_cards = labeled.cardinalities().astype(np.float64)
-    est_cards = np.asarray([p["card_estimate"] for p in ordered])
-
-    prediction = gp.Prediction(
-        mean_log=np.asarray([p["mean_log"] for p in ordered]),
-        var_log=np.asarray([p["var_log"] for p in ordered]),
-        ci_low=np.asarray([p["ci_low"] for p in ordered]),
-        ci_high=np.asarray([p["ci_high"] for p in ordered]),
-        cov=np.asarray([p["cov"] for p in ordered]),
-        card_estimate=est_cards,
-        delta=0.95,
-    )
+    columns = {name: np.asarray([p[name] for p in ordered]) for name in _RECORD_FIELDS}
+    prediction = gp.Prediction(**columns, delta=pred_header["delta"])
     report = evaluation.uncertainty_error_report(
         prediction,
-        true_cards,
+        labeled.cardinalities().astype(np.float64),
         ids=np.asarray([it.query.id for it in labeled], dtype=np.int64),
         n_conditions=labeled.condition_counts(),
     )
     doc = report.to_dict()
-    doc["mse_log"] = evaluation.mse_log(true_cards, est_cards)
+    doc["mse_log"] = report.stats.mse_log
     doc["inputs"] = {"pred": _hash_file(args.pred), "labeled": _hash_file(args.labeled)}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
     if args.scatter:
         report.to_csv(args.scatter)
     print(report.stats.to_text())
@@ -435,7 +415,7 @@ def cmd_evaluate(args) -> int:
 
 def _encode_labeled(path, catalog, layout):
     labeled, _ = workload.load_workload(path)
-    X = _encode_valid(labeled.queries(), catalog, layout)
+    X = encode_batch(labeled.queries(), layout, catalog)
     y = np.log(labeled.cardinalities().astype(np.float64))
     return labeled, X, y
 
@@ -483,9 +463,7 @@ def cmd_active_learn(args) -> int:
             "selected_ids": [[pool_ids[i] for i in chosen] for chosen in result.selected],
         }
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, doc)
     log.info("active learning MSE history: %s", result.mse_history)
     log.info("active learning refit the union in %d of %d iterations", result.refits, args.iterations)
     print(_json_line({"out": args.out, "mse_history": result.mse_history}))

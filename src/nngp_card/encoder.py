@@ -5,21 +5,25 @@ within each relation, then the catalog's join pairs. Every query maps to the
 same vector length regardless of how many conditions it carries; attributes
 without a condition get the neutral "selects everything" encoding.
 
-For a query that validates against the catalog, every slot lies in [0, 1].
-A factorized slot holds its chunk integer divided by 2^chunk_size - 1: raw
-chunk integers would swamp the range slots in the <x, x'> / d base kernel.
+Every query is validated against the catalog before it is encoded, so every
+slot lies in [0, 1]. A factorized slot holds its chunk integer divided by
+2^chunk_size - 1: raw chunk integers would swamp the range slots in the
+<x, x'> / d base kernel.
+
+`save_encoded` and `load_encoded` keep an encoded batch in an `artifact`
+file, whose every payload is hash-verified on load.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .queries import InFilter, Query, RangeFilter
+from . import artifact
+from .queries import Query
 from .relstore import CategoricalType, SchemaCatalog, stable_hash
 
 DEFAULT_CHUNK_SIZE = 8
@@ -146,57 +150,44 @@ def _bitmap_to_chunks(bits: np.ndarray, chunk_size: int) -> list[int]:
 def encode(query: Query, layout: EncodingLayout, catalog: SchemaCatalog) -> np.ndarray:
     """Map a query onto the layout's feature vector.
 
-    Range slots hold bounds normalized into [0, 1]; bitmap slots are 0/1;
-    factorized slots hold chunk integers divided by 2^chunk_size - 1, so they
-    lie in [0, 1] too. Unconstrained attributes encode as the full range /
-    all-ones bitmap, absent join pairs as 000. The query is not validated
-    here; out-of-domain range bounds encode outside [0, 1].
+    The query is validated against the catalog first (`QueryError`), so every
+    slot lies in [0, 1]. Range slots hold bounds normalized into [0, 1];
+    bitmap slots are 0/1; factorized slots hold chunk integers divided by
+    2^chunk_size - 1. Unconstrained attributes encode as the full range /
+    all-ones bitmap, absent join pairs as 000.
     """
     if layout.catalog_hash != catalog.content_hash:
         raise EncodingError("layout was built from a different catalog")
+    query.validate(catalog)
     vec = np.zeros(layout.dim, dtype=np.float64)
 
     selections = dict(query.selections)
     for seg in layout.segments:
-        flt = selections.pop(seg.attr, None)
+        flt = selections.get(seg.attr)
         if seg.kind == "range":
             ctype = catalog.resolve(seg.attr)
-            if flt is None:
+            if flt is None or ctype.width == 0.0:
                 lo, hi = 0.0, 1.0
             else:
-                if not isinstance(flt, RangeFilter):
-                    raise EncodingError(f"non-range filter on numerical attribute {seg.attr}")
-                if ctype.width == 0.0:
-                    lo, hi = 0.0, 1.0
-                else:
-                    lo = (flt.lb - ctype.lo) / ctype.width
-                    hi = (flt.ub - ctype.lo) / ctype.width
+                lo = (flt.lb - ctype.lo) / ctype.width
+                hi = (flt.ub - ctype.lo) / ctype.width
             vec[seg.offset] = lo
             vec[seg.offset + 1] = hi
         else:
-            bits = np.ones(seg.domain_size, dtype=np.int64)
-            if flt is not None:
-                if not isinstance(flt, InFilter):
-                    raise EncodingError(f"non-IN filter on categorical attribute {seg.attr}")
-                ctype = catalog.resolve(seg.attr)
-                bits[:] = 0
-                for value in flt.values:
-                    bits[ctype.index(value)] = 1
+            if flt is None:
+                bits = np.ones(seg.domain_size, dtype=bool)
+            else:
+                bits = catalog.resolve(seg.attr).in_mask(flt.values)
             if seg.kind == "bitmap":
                 vec[seg.offset : seg.offset + seg.width] = bits
             else:
                 chunks = np.asarray(_bitmap_to_chunks(bits, seg.chunk_size), dtype=np.float64)
                 vec[seg.offset : seg.offset + seg.width] = chunks / float(2**seg.chunk_size - 1)
-    if selections:
-        raise EncodingError(f"query references attributes absent from layout: {sorted(selections)}")
 
     join_ops = {cond.pair: cond.op for cond in query.joins}
     for jseg in layout.join_segments:
         bits = JOIN_OP_BITS[join_ops[jseg.pair]] if jseg.pair in join_ops else NO_JOIN_BITS
         vec[jseg.offset : jseg.offset + 3] = bits
-    unknown_pairs = set(join_ops) - {j.pair for j in layout.join_segments}
-    if unknown_pairs:
-        raise EncodingError(f"query references join pairs absent from layout: {sorted(unknown_pairs)}")
     return vec
 
 
@@ -208,10 +199,10 @@ def encode_batch(queries: Sequence[Query], layout: EncodingLayout, catalog: Sche
 
 
 # ---------------------------------------------------------------------------
-# encoded-matrix file: one JSON header line, then little-endian float64 payload
+# encoded-matrix file: an `artifact` file of the matrix, then optional ids and targets
 # ---------------------------------------------------------------------------
 
-MATRIX_FORMAT = "nngp-card-encoded-v2"
+MATRIX_FORMAT = "nngp-card-encoded-v3"
 
 
 def save_encoded(
@@ -223,8 +214,7 @@ def save_encoded(
     extra_header: dict | None = None,
 ) -> None:
     """Persist an encoded batch with its layout hash and optional ids/targets."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    n, dim = matrix.shape
+    n, dim = np.shape(matrix)
     header = {
         "format": MATRIX_FORMAT,
         "n": n,
@@ -235,37 +225,27 @@ def save_encoded(
     }
     if extra_header:
         header.update(extra_header)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(matrix.astype("<f8").tobytes())
-        if ids is not None:
-            fh.write(np.ascontiguousarray(ids, dtype="<i8").tobytes())
-        if targets_log is not None:
-            fh.write(np.ascontiguousarray(targets_log, dtype="<f8").tobytes())
+    payloads = [("matrix_hash", matrix, np.float64)]
+    if ids is not None:
+        payloads.append(("ids_hash", ids, np.int64))
+    if targets_log is not None:
+        payloads.append(("targets_hash", targets_log, np.float64))
+    artifact.write(path, header, payloads)
 
 
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
-    """Load an encoded batch: (matrix, ids, targets_log, header)."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise EncodingError(f"{path}: missing or corrupt encoded-matrix header") from None
+    """Load an encoded batch, every payload verified: (matrix, ids, targets_log, header)."""
+
+    def payloads(header):
         if header.get("format") != MATRIX_FORMAT:
             raise EncodingError(f"{path}: unexpected format {header.get('format')!r}")
         n, dim = int(header["n"]), int(header["d_enc"])
-        payload = fh.read()
-    expected = n * dim * 8 + (n * 8 if header["has_ids"] else 0) + (n * 8 if header["has_targets"] else 0)
-    if len(payload) != expected:
-        raise EncodingError(f"{path}: payload has {len(payload)} bytes, expected {expected} (truncated?)")
-    pos = n * dim * 8
-    matrix = np.frombuffer(payload[:pos], dtype="<f8").reshape(n, dim).copy()
-    ids = None
-    if header["has_ids"]:
-        ids = np.frombuffer(payload[pos : pos + n * 8], dtype="<i8").copy()
-        pos += n * 8
-    targets = None
-    if header["has_targets"]:
-        targets = np.frombuffer(payload[pos : pos + n * 8], dtype="<f8").copy()
-    return matrix, ids, targets, header
+        specs = [("matrix_hash", "matrix", np.float64, (n, dim))]
+        if header["has_ids"]:
+            specs.append(("ids_hash", "id", np.int64, (n,)))
+        if header["has_targets"]:
+            specs.append(("targets_hash", "target", np.float64, (n,)))
+        return specs
+
+    header, arrays = artifact.read(path, EncodingError, payloads)
+    return arrays["matrix_hash"], arrays.get("ids_hash"), arrays.get("targets_hash"), header

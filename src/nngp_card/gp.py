@@ -9,22 +9,22 @@ The factorization runs in place, so the factor occupies the kernel's own
 n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
 fails has consumed that buffer, so the next rung rebuilds the kernel.
 `extend` grows a fitted model by new training rows with an exact
-block-Cholesky append instead of a refit.
+block-Cholesky append instead of a refit. `save` and `load` keep the trained
+state in an `artifact` file, whose every payload is hash-verified on load.
 Targets are natural logs of cardinalities; point estimates return to count
 space as max(1, exp(mean)).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.special import ndtri
 
-from .kernel import KernelConfig, array_hash, kernel_diag, kernel_matrix, row_blocks
+from . import artifact
+from .kernel import KernelConfig, kernel_diag, kernel_matrix, row_blocks
 
 # Relative jitter escalation before a factorization failure is declared.
 # The first attempt adds nothing: a numerically PD kernel keeps the exact
@@ -283,7 +283,7 @@ def _coefficient_of_variation(mean, var):
 
 
 # ---------------------------------------------------------------------------
-# model persistence: JSON header line + little-endian float64 payload
+# model persistence: an `artifact` file of four float64 payloads
 # ---------------------------------------------------------------------------
 
 
@@ -299,11 +299,10 @@ _PAYLOADS = (
 def save(estimator: CardinalityEstimator, path) -> None:
     """Serialize the trained state; `load` + `predict` round-trips exactly.
 
-    Every payload is hashed in the very buffer that is written, so the n x n
-    Fortran-order factor is made C-contiguous once.
+    The n x n Fortran-order factor is made C-contiguous once, for its hash
+    and its write.
     """
     n, d = estimator.X_train.shape
-    buffers = [np.ascontiguousarray(getattr(estimator, field), dtype="<f8") for field, _, _ in _PAYLOADS]
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -313,45 +312,25 @@ def save(estimator: CardinalityEstimator, path) -> None:
         "d_enc": d,
         "jitter": estimator.jitter,
     }
-    for (_, key, _), buf in zip(_PAYLOADS, buffers):
-        header[key] = array_hash(buf)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for buf in buffers:
-            fh.write(buf)
+    payloads = [(key, getattr(estimator, field), np.float64) for field, key, _ in _PAYLOADS]
+    artifact.write(path, header, payloads)
 
 
 def load(path) -> CardinalityEstimator:
-    """Read a model file; every payload must match its recorded hash.
+    """Read a model file; every payload must match its recorded hash."""
 
-    The payload size is checked against the file size first, then each
-    payload is read straight into its own array, so loading holds no copy.
-    """
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError:
-            raise ModelIOError(f"{path}: missing or corrupt model header") from None
+    def payloads(header):
         if header.get("format") != MODEL_FORMAT:
             raise ModelIOError(f"{path}: not a model file (format={header.get('format')!r})")
         if header.get("version") != MODEL_VERSION:
             raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
         n, d = int(header["n"]), int(header["d_enc"])
         shapes = {"X_train": (n, d), "y_log": (n,), "chol": (n, n), "alpha": (n,)}
-        expected = (n * d + n + n * n + n) * 8
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise ModelIOError(f"{path}: payload has {size} bytes, expected {expected} (truncated?)")
-        arrays = {}
-        for field, key, what in _PAYLOADS:
-            arr = np.empty(shapes[field], dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise ModelIOError(f"{path}: {what} payload is truncated")
-            if array_hash(arr) != header.get(key):
-                raise ModelIOError(f"{path}: {what} payload does not match its recorded hash")
-            arrays[field] = arr
+        return [(key, what, np.float64, shapes[field]) for field, key, what in _PAYLOADS]
+
+    header, arrays = artifact.read(path, ModelIOError, payloads)
     return CardinalityEstimator(
-        **arrays,
+        **{field: arrays[key] for field, key, _ in _PAYLOADS},
         config=KernelConfig.from_dict(header["config"]),
         layout_hash=header.get("layout_hash", ""),
         jitter=float(header.get("jitter", 0.0)),

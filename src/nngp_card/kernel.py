@@ -34,7 +34,6 @@ its cross-batch matrices carry none.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -90,14 +89,6 @@ class KernelConfig:
         if unknown:
             raise KernelError(f"unknown kernel config keys: {sorted(unknown)}")
         return cls(**doc)
-
-
-def array_hash(arr: np.ndarray) -> str:
-    """Short content hash of an array (shape-sensitive)."""
-    h = hashlib.sha256()
-    h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr, dtype=np.float64))
-    return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,7 @@ def _selection_rows(relation: Relation, name: str, query: Query) -> np.ndarray:
         if isinstance(flt, RangeFilter):
             mask &= (col >= flt.lb) & (col <= flt.ub)
         else:
-            ctype = relation.type_of(attr)
-            allowed = np.zeros(ctype.size, dtype=bool)
-            allowed[[ctype.index(v) for v in flt.values]] = True
-            mask &= allowed[col]
+            mask &= relation.type_of(attr).in_mask(flt.values)[col]
     return np.flatnonzero(mask)
 
 

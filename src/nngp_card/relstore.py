@@ -67,11 +67,10 @@ class CategoricalType:
     def size(self) -> int:
         return len(self.values)
 
-    def index(self, value: str) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise RelStoreError(f"value {value!r} not in categorical domain") from None
+    def in_mask(self, values) -> np.ndarray:
+        """Boolean table over the domain: True at each of `values`."""
+        chosen = set(values)
+        return np.array([v in chosen for v in self.values])
 
 
 ColumnType = Union[NumericalType, CategoricalType]
@@ -104,7 +103,7 @@ class Relation:
         for attr, ctype, data in columns:
             if ctype.kind == "numerical":
                 arr = np.asarray(data, dtype=np.float64)
-                if arr.size and (arr.min() < ctype.lo or arr.max() > ctype.hi):
+                if not np.all((arr >= ctype.lo) & (arr <= ctype.hi)):  # NaN compares False
                     raise RelStoreError(
                         f"{name}.{attr}: values outside declared domain "
                         f"[{ctype.lo}, {ctype.hi}]"

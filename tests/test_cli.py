@@ -261,6 +261,40 @@ class TestGuards:
         assert code == 1
         assert "no targets" in capsys.readouterr().err
 
+    def test_corrupt_encoded_file_is_structured_error(self, pipeline_dir, tmp_path, capsys):
+        root, _ = pipeline_dir
+        data = (root / "enc.train.bin").read_bytes()
+        flipped = bytearray(data)
+        flipped[data.index(b"\n") + 1 + 8 * 3] ^= 0x01  # a matrix entry
+        bad = tmp_path / "enc.bin"
+        commands = [
+            ["train", "--encoded", bad, "--model", tmp_path / "m.bin"],
+            ["predict", "--model", root / "model.bin", "--encoded", bad, "--out", tmp_path / "p.jsonl"],
+        ]
+        for payload, message in ((bytes(flipped), "does not match its recorded hash"), (data[:-8], "truncated")):
+            bad.write_bytes(payload)
+            for command in commands:
+                assert cli.main([str(a) for a in command]) == 1
+                error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert error["error"] == "EncodingError" and message in error["message"]
+        assert not (tmp_path / "m.bin").exists() and not (tmp_path / "p.jsonl").exists()
+
+    def test_evaluate_requires_the_predictions_header(self, pipeline_dir, tmp_path, capsys):
+        root, _ = pipeline_dir
+        run([
+            "predict", "--model", root / "model.bin", "--encoded", root / "enc.test.bin",
+            "--out", tmp_path / "pred.jsonl", "--delta", 0.8,
+        ])
+        lines = (tmp_path / "pred.jsonl").read_text().splitlines(keepends=True)
+        assert json.loads(lines[0])["_header"]["delta"] == 0.8
+        run(["evaluate", "--pred", tmp_path / "pred.jsonl", "--labeled", root / "labeled.test.jsonl"])
+        (tmp_path / "bare.jsonl").write_text("".join(lines[1:]), encoding="utf-8")
+        code = cli.main([
+            "evaluate", "--pred", str(tmp_path / "bare.jsonl"), "--labeled", str(root / "labeled.test.jsonl"),
+        ])
+        assert code == 1
+        assert "no predictions header" in capsys.readouterr().err
+
     def test_missing_file_is_structured_error(self, tmp_path, capsys):
         code = cli.main([
             "ingest", "--csv", str(tmp_path / "nope.csv"), "--schema", str(tmp_path / "nope.json"),

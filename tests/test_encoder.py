@@ -1,6 +1,7 @@
 """Feature encoding: layout widths, normalization, bitmaps, join bits, files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from nngp_card.encoder import (
     load_encoded,
     save_encoded,
 )
-from nngp_card.queries import InFilter, JoinCondition, Query, RangeFilter
-from nngp_card.relstore import SchemaCatalog, register_join_pair, synth_relation
+from nngp_card.queries import InFilter, JoinCondition, Query, QueryError, RangeFilter
+from nngp_card.relstore import RelStoreError, SchemaCatalog, register_join_pair, synth_relation
 from nngp_card.workload import finalize, gen_single_relation
 
 from conftest import make_relation
@@ -288,6 +289,32 @@ class TestBatchProperties:
         with pytest.raises(EncodingError, match="different catalog"):
             encode(labeled.queries()[0], layout, other)
 
+    @pytest.mark.parametrize(
+        "selection, error, match",
+        [
+            (("rel.a1", RangeFilter(-50.0, 80.0)), QueryError, "outside domain"),
+            (("rel.c1", InFilter(("k1", "zz"))), QueryError, "outside domain"),
+            (("rel.a1", InFilter(("k1",))), QueryError, "IN filter on numerical"),
+            (("rel.c1", RangeFilter(0.0, 1.0)), QueryError, "range filter on categorical"),
+            (("rel.zz", RangeFilter(0.0, 1.0)), RelStoreError, "unknown attribute"),
+            (("other.a1", RangeFilter(0.0, 1.0)), QueryError, "not in query relations"),
+        ],
+        ids=["range-outside-domain", "in-outside-domain", "in-on-numerical", "range-on-categorical",
+             "unknown-attribute", "relation-not-in-query"],
+    )
+    def test_invalid_query_rejected(self, pipeline, selection, error, match):
+        catalog, layout, _ = pipeline
+        query = Query(("rel",), (selection,))
+        for call in (encode, lambda q, *a: encode_batch([q], *a)):
+            with pytest.raises(error, match=match):
+                call(query, layout, catalog)
+
+    def test_join_pair_outside_catalog_rejected(self, pipeline):
+        catalog, layout, labeled = pipeline
+        query = Query(("rel",), labeled.queries()[0].selections, (JoinCondition(0, "="),))
+        with pytest.raises(QueryError, match="out of range"):
+            encode(query, layout, catalog)
+
 
 class TestEncodedFile:
     def test_round_trip(self, tmp_path):
@@ -307,14 +334,33 @@ class TestEncodedFile:
         path = tmp_path / "enc.bin"
         save_encoded(path, np.zeros((4, 3)), "x")
         data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(EncodingError, match="truncated"):
-            load_encoded(path)
+        # a short file, and one with trailing bytes, disagree with the header's size
+        for bad in (data[:-8], data + bytes(8)):
+            path.write_bytes(bad)
+            with pytest.raises(EncodingError, match="truncated"):
+                load_encoded(path)
+
+    def test_load_reads_payloads_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mat = rng.uniform(size=(40_000, 24))
+        ids = np.arange(40_000, dtype=np.int64)
+        targets = rng.uniform(0, 9, size=40_000)
+        path = tmp_path / "enc.bin"
+        save_encoded(path, mat, "x", ids=ids, targets_log=targets)
+        tracemalloc.start()
+        try:
+            mat2, ids2, targets2, _ = load_encoded(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mat, mat2) and np.array_equal(ids, ids2) and np.array_equal(targets, targets2)
+        assert peak <= 1.3 * path.stat().st_size
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "enc.bin"
-        # v1 files may hold unnormalized factorized slots
-        for fmt in ("other", "nngp-card-encoded-v1"):
+        # v1 files may hold unnormalized factorized slots; v2 files carry no
+        # payload hashes
+        for fmt in ("other", "nngp-card-encoded-v1", "nngp-card-encoded-v2"):
             path.write_bytes(json.dumps({"format": fmt}).encode() + b"\n")
             with pytest.raises(EncodingError, match="unexpected format"):
                 load_encoded(path)

@@ -8,6 +8,7 @@ from nngp_card.relstore import (
     CategoricalType,
     IngestError,
     NumericalType,
+    Relation,
     RelStoreError,
     SchemaCatalog,
     export_csv,
@@ -131,6 +132,25 @@ class TestDomainStats:
                 ctype = rel.type_of(attr)
                 col = rel.column(attr)
                 assert ctype.lo <= col.min() and col.max() <= ctype.hi
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, float("nan"), 0.2],
+            [0.5, float("inf")],
+            [float("-inf"), 0.5],
+            [0.5, float("nan"), float("inf")],
+            [0.5, 1.5],
+        ],
+    )
+    def test_relation_rejects_values_outside_the_domain(self, values):
+        with pytest.raises(RelStoreError, match="outside declared domain"):
+            Relation("r", [("a", NumericalType(0.0, 1.0), values)])
+
+    def test_in_mask_marks_the_chosen_values(self):
+        ctype = CategoricalType(("a", "b", "c", "d"))
+        assert ctype.in_mask(("d", "a")).tolist() == [True, False, False, True]
+        assert ctype.in_mask(()).tolist() == [False] * 4
 
 
 class TestCatalog:
