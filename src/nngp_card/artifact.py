@@ -1,10 +1,12 @@
 """One binary file format for model files and encoded-matrix files.
 
-A file is one JSON header line with sorted keys, then its payload arrays back
-to back as C-order little-endian bytes. The header holds a hash of every
-payload, so a load verifies every byte it returns. A load checks the payload
-size against the file size, then reads each payload straight into its own
-array, without a copy.
+A file is one JSON header line with sorted keys, then its payloads back to
+back as little-endian bytes. A payload is one array in C order, or an ordered
+sequence of contiguous chunks (such as the columns of a triangle) written
+back to back. The header holds a hash of every payload and `header_hash`, a
+hash of every other header key, so a load verifies every byte it returns and
+every header value it reads. A load checks the payload size against the file
+size, then reads each chunk straight into the caller's buffer, without a copy.
 """
 
 from __future__ import annotations
@@ -16,37 +18,58 @@ import os
 import numpy as np
 
 
-def array_hash(arr: np.ndarray) -> str:
-    """Short hash of a payload: its shape, then the exact bytes written."""
-    h = hashlib.sha256(str(arr.shape).encode())
-    h.update(arr)
+def payload_hash(shape, chunks) -> str:
+    """Short hash of a payload: its shape, then the exact bytes written, chunk by chunk."""
+    h = hashlib.sha256(str(shape).encode())
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()[:16]
+
+
+def _header_hash(header: dict) -> str:
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _disk(dtype) -> np.dtype:
     return np.dtype(dtype).newbyteorder("<")
 
 
-def write(path, header: dict, payloads) -> None:
-    """Write `header` with one hash per payload, then the payloads.
+def _chunks(data) -> tuple[tuple, list]:
+    """The hashed shape and the chunks of a payload: an array is one chunk of
+    its own shape, a sequence of chunks has the shape of their concatenation."""
+    if isinstance(data, np.ndarray):
+        return data.shape, [data]
+    return (sum(chunk.size for chunk in data),), list(data)
 
-    `payloads` holds (hash key, array, dtype) in file order. Each array is
-    converted once and hashed in the very buffer that is written.
+
+def write(path, header: dict, payloads) -> None:
+    """Write `header` with one hash per payload and `header_hash`, then the payloads.
+
+    `payloads` holds (hash key, array or sequence of chunks, dtype) in file
+    order. Each chunk is converted only if it is not already contiguous in
+    the disk dtype, and is hashed in the very buffer that is written.
     """
-    buffers = {key: np.ascontiguousarray(arr, dtype=_disk(dtype)) for key, arr, dtype in payloads}
-    header = dict(header, **{key: array_hash(buf) for key, buf in buffers.items()})
+    converted = []
+    for key, data, dtype in payloads:
+        shape, chunks = _chunks(data)
+        chunks = [np.ascontiguousarray(chunk, dtype=_disk(dtype)) for chunk in chunks]
+        converted.append((key, shape, chunks))
+    header = dict(header, **{key: payload_hash(shape, chunks) for key, shape, chunks in converted})
+    header["header_hash"] = _header_hash(header)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for buf in buffers.values():
-            fh.write(buf)
+        for _, _, chunks in converted:
+            for chunk in chunks:
+                fh.write(chunk)
 
 
-def read(path, error: type[Exception], payloads) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header of a file and its verified payload arrays, by hash key.
+def read(path, error: type[Exception], payloads) -> dict:
+    """The verified header of a file, after filling the caller's payload buffers.
 
     `payloads(header)` checks the header's format and returns (hash key, name
-    in errors, dtype, shape) for each payload, in file order. Every failure
-    raises `error`.
+    in errors, buffer) for each payload, in file order; a buffer is an array
+    in the disk dtype, or a sequence of such contiguous chunks, filled in
+    order. Every failure raises `error`.
     """
     with open(path, "rb") as fh:
         try:
@@ -54,18 +77,24 @@ def read(path, error: type[Exception], payloads) -> tuple[dict, dict[str, np.nda
             specs = payloads(header) if isinstance(header, dict) else None
         except (KeyError, TypeError, ValueError):  # ValueError: not JSON, or not UTF-8
             specs = None
-        if specs is None:
+        if specs is None or "header_hash" not in header:
             raise error(f"{path}: missing or corrupt header")
-        expected = sum(_disk(dtype).itemsize * int(np.prod(shape)) for _, _, dtype, shape in specs)
+        if _header_hash({k: v for k, v in header.items() if k != "header_hash"}) != header["header_hash"]:
+            raise error(f"{path}: header does not match its recorded hash")
+        specs = [(key, what, *_chunks(buffer)) for key, what, buffer in specs]
+        expected = sum(chunk.nbytes for *_, chunks in specs for chunk in chunks)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
             raise error(f"{path}: payload has {size} bytes, expected {expected} (truncated?)")
-        arrays = {}
-        for key, what, dtype, shape in specs:
-            arr = np.empty(shape, dtype=_disk(dtype))
-            if fh.readinto(arr) != arr.nbytes:
-                raise error(f"{path}: {what} payload is truncated")
-            if array_hash(arr) != header.get(key):
+
+        def filled(what, chunks):
+            for chunk in chunks:
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise error(f"{path}: {what} payload is truncated")
+                yield chunk
+
+        for key, what, shape, chunks in specs:
+            # each chunk is hashed right after it is read, while it is in cache
+            if payload_hash(shape, filled(what, chunks)) != header.get(key):
                 raise error(f"{path}: {what} payload does not match its recorded hash")
-            arrays[key] = arr
-    return header, arrays
+    return header

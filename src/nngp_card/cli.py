@@ -352,8 +352,9 @@ def cmd_predict(args) -> int:
     prediction = gp.predict(estimator, X, delta=cfg_delta, layout_hash=enc_header["layout_hash"])
     if ids is None:
         ids = np.arange(len(X), dtype=np.int64)
+    # the files' own verified header hashes, which commit to every payload
     header = _header(
-        args, "predict", inputs={"model": _hash_file(args.model), "encoded": _hash_file(args.encoded)}
+        args, "predict", inputs={"model": estimator.file_hash, "encoded": enc_header["header_hash"]}
     )
     header["delta"] = cfg_delta
     with open(args.out, "w", encoding="utf-8") as fh:

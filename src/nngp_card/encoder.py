@@ -11,7 +11,7 @@ slot lies in [0, 1]. A factorized slot holds its chunk integer divided by
 <x, x'> / d base kernel.
 
 `save_encoded` and `load_encoded` keep an encoded batch in an `artifact`
-file, whose every payload is hash-verified on load.
+file, whose header and every payload are hash-verified on load.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def encode_batch(queries: Sequence[Query], layout: EncodingLayout, catalog: Sche
 # encoded-matrix file: an `artifact` file of the matrix, then optional ids and targets
 # ---------------------------------------------------------------------------
 
-MATRIX_FORMAT = "nngp-card-encoded-v3"
+MATRIX_FORMAT = "nngp-card-encoded-v4"
 
 
 def save_encoded(
@@ -225,27 +225,32 @@ def save_encoded(
     }
     if extra_header:
         header.update(extra_header)
-    payloads = [("matrix_hash", matrix, np.float64)]
+    payloads = [("matrix_hash", np.asarray(matrix), np.float64)]
     if ids is not None:
-        payloads.append(("ids_hash", ids, np.int64))
+        payloads.append(("ids_hash", np.asarray(ids), np.int64))
     if targets_log is not None:
-        payloads.append(("targets_hash", targets_log, np.float64))
+        payloads.append(("targets_hash", np.asarray(targets_log), np.float64))
     artifact.write(path, header, payloads)
 
 
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
     """Load an encoded batch, every payload verified: (matrix, ids, targets_log, header)."""
 
+    arrays = {}
+
     def payloads(header):
         if header.get("format") != MATRIX_FORMAT:
             raise EncodingError(f"{path}: unexpected format {header.get('format')!r}")
         n, dim = int(header["n"]), int(header["d_enc"])
-        specs = [("matrix_hash", "matrix", np.float64, (n, dim))]
+        arrays["matrix_hash"] = np.empty((n, dim), "<f8")
+        specs = [("matrix_hash", "matrix", arrays["matrix_hash"])]
         if header["has_ids"]:
-            specs.append(("ids_hash", "id", np.int64, (n,)))
+            arrays["ids_hash"] = np.empty(n, "<i8")
+            specs.append(("ids_hash", "id", arrays["ids_hash"]))
         if header["has_targets"]:
-            specs.append(("targets_hash", "target", np.float64, (n,)))
+            arrays["targets_hash"] = np.empty(n, "<f8")
+            specs.append(("targets_hash", "target", arrays["targets_hash"]))
         return specs
 
-    header, arrays = artifact.read(path, EncodingError, payloads)
+    header = artifact.read(path, EncodingError, payloads)
     return arrays["matrix_hash"], arrays.get("ids_hash"), arrays.get("targets_hash"), header

@@ -10,7 +10,8 @@ n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
 fails has consumed that buffer, so the next rung rebuilds the kernel.
 `extend` grows a fitted model by new training rows with an exact
 block-Cholesky append instead of a refit. `save` and `load` keep the trained
-state in an `artifact` file, whose every payload is hash-verified on load.
+state in an `artifact` file, whose header and every payload are hash-verified
+on load; the file stores only the factor's lower triangle, column by column.
 Targets are natural logs of cardinalities; point estimates return to count
 space as max(1, exp(mean)).
 """
@@ -24,7 +25,7 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.special import ndtri
 
 from . import artifact
-from .kernel import KernelConfig, kernel_diag, kernel_matrix, row_blocks
+from .kernel import KernelConfig, KernelError, kernel_diag, kernel_matrix, row_blocks
 
 # Relative jitter escalation before a factorization failure is declared.
 # The first attempt adds nothing: a numerically PD kernel keeps the exact
@@ -32,7 +33,7 @@ from .kernel import KernelConfig, kernel_diag, kernel_matrix, row_blocks
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 class FitError(Exception):
@@ -49,7 +50,8 @@ class CardinalityEstimator:
 
     `chol` is the lower factor of K + noise*I (+ jitter), in Fortran order
     and in the memory the kernel was built in; `alpha` solves
-    (K + noise*I) alpha = y_log.
+    (K + noise*I) alpha = y_log. `file_hash` is the verified header hash of
+    the model file the state was loaded from, empty for a fitted state.
     """
 
     X_train: np.ndarray
@@ -59,6 +61,7 @@ class CardinalityEstimator:
     config: KernelConfig
     layout_hash: str = ""
     jitter: float = 0.0
+    file_hash: str = ""
 
     @property
     def n_train(self) -> int:
@@ -296,11 +299,17 @@ _PAYLOADS = (
 )
 
 
+def _lower_columns(L: np.ndarray) -> list:
+    """The lower triangle of L as its columns L[j:, j], in LAPACK's packed-lower
+    order; each is a contiguous view when L is in Fortran order."""
+    return [L[j:, j] for j in range(len(L))]
+
+
 def save(estimator: CardinalityEstimator, path) -> None:
     """Serialize the trained state; `load` + `predict` round-trips exactly.
 
-    The n x n Fortran-order factor is made C-contiguous once, for its hash
-    and its write.
+    The factor is stored as its lower triangle, written and hashed column by
+    column straight from the Fortran-order buffer, without an n x n copy.
     """
     n, d = estimator.X_train.shape
     header = {
@@ -312,26 +321,42 @@ def save(estimator: CardinalityEstimator, path) -> None:
         "d_enc": d,
         "jitter": estimator.jitter,
     }
-    payloads = [(key, getattr(estimator, field), np.float64) for field, key, _ in _PAYLOADS]
+    data = dict(vars(estimator), chol=_lower_columns(estimator.chol))
+    payloads = [(key, data[field], np.float64) for field, key, _ in _PAYLOADS]
     artifact.write(path, header, payloads)
 
 
 def load(path) -> CardinalityEstimator:
-    """Read a model file; every payload must match its recorded hash."""
+    """Read a model file; its header and every payload must match their recorded hashes.
+
+    The factor is read column by column into a zeroed Fortran-order buffer,
+    so it has the fitted factor's layout and bits.
+    """
+    fields = {}
 
     def payloads(header):
         if header.get("format") != MODEL_FORMAT:
             raise ModelIOError(f"{path}: not a model file (format={header.get('format')!r})")
         if header.get("version") != MODEL_VERSION:
             raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
+        try:
+            fields["config"] = KernelConfig.from_dict(header["config"])
+        except KernelError:
+            raise ModelIOError(f"{path}: missing or corrupt header") from None
         n, d = int(header["n"]), int(header["d_enc"])
-        shapes = {"X_train": (n, d), "y_log": (n,), "chol": (n, n), "alpha": (n,)}
-        return [(key, what, np.float64, shapes[field]) for field, key, what in _PAYLOADS]
+        fields.update(
+            X_train=np.empty((n, d), "<f8"),
+            y_log=np.empty(n, "<f8"),
+            chol=np.zeros((n, n), "<f8", order="F"),
+            alpha=np.empty(n, "<f8"),
+        )
+        buffers = dict(fields, chol=_lower_columns(fields["chol"]))
+        return [(key, what, buffers[field]) for field, key, what in _PAYLOADS]
 
-    header, arrays = artifact.read(path, ModelIOError, payloads)
+    header = artifact.read(path, ModelIOError, payloads)
     return CardinalityEstimator(
-        **{field: arrays[key] for field, key, _ in _PAYLOADS},
-        config=KernelConfig.from_dict(header["config"]),
+        **fields,
         layout_hash=header.get("layout_hash", ""),
         jitter=float(header.get("jitter", 0.0)),
+        file_hash=header["header_hash"],
     )

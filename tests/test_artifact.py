@@ -22,7 +22,9 @@ def _model(path):
         loaded = gp.load(p)
         return [loaded.X_train, loaded.y_log, loaded.chol, loaded.alpha]
 
-    return load, ModelIOError, [est.X_train, est.y_log, est.chol, est.alpha]
+    # the factor is stored as its lower triangle: N (N + 1) / 2 values
+    sizes = [N * D * 8, N * 8, N * (N + 1) // 2 * 8, N * 8]
+    return load, ModelIOError, [est.X_train, est.y_log, est.chol, est.alpha], sizes
 
 
 def _encoded(with_ids, with_targets):
@@ -38,7 +40,7 @@ def _encoded(with_ids, with_targets):
             matrix, ids, targets, _ = load_encoded(p)
             return [a for a in (matrix, ids, targets) if a is not None]
 
-        return load, EncodingError, arrays
+        return load, EncodingError, arrays, [a.nbytes for a in arrays]
 
     return make
 
@@ -53,10 +55,10 @@ CASES = {
 
 @pytest.fixture(params=sorted(CASES))
 def saved(request, tmp_path):
-    """(path, load -> payload arrays, typed error, payload arrays as saved)."""
+    """(path, load -> payload arrays, typed error, payload arrays as saved,
+    payload sizes in the file)."""
     path = tmp_path / "artifact.bin"
-    load, error, arrays = CASES[request.param](path)
-    return path, load, error, arrays
+    return (path, *CASES[request.param](path))
 
 
 def _payload_start(data):
@@ -65,34 +67,64 @@ def _payload_start(data):
 
 class TestArtifactFiles:
     def test_round_trip_is_exact(self, saved):
-        path, load, _, arrays = saved
+        path, load, _, arrays, _ = saved
         loaded = load(path)
         assert len(loaded) == len(arrays)
         for got, want in zip(loaded, arrays):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_one_hash_per_payload(self, saved):
-        path, _, _, arrays = saved
+        path, _, _, arrays, _ = saved
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        hashes = {key for key in header if key.endswith("_hash") and key != "layout_hash"}
+        hashes = {key for key in header if key.endswith("_hash") and key not in ("layout_hash", "header_hash")}
         assert len(hashes) == len(arrays)
 
     def test_one_bit_flip_in_each_payload_rejected(self, saved):
-        path, load, error, arrays = saved
+        path, load, error, _, sizes = saved
         data = path.read_bytes()
         start = _payload_start(data)
-        for arr in arrays:
-            for offset in (0, arr.nbytes // 2, arr.nbytes - 1):
+        for nbytes in sizes:
+            for offset in (0, nbytes // 2, nbytes - 1):
                 bad = bytearray(data)
                 bad[start + offset] ^= 0x10
                 path.write_bytes(bytes(bad))
                 with pytest.raises(error, match="does not match its recorded hash"):
                     load(path)
-            start += arr.nbytes
+            start += nbytes
         assert start == len(data)
 
+    def test_any_header_change_rejected(self, saved):
+        """The header hash covers every other key: a changed value, an added
+        or removed key, or a removed hash fails the load."""
+        path, load, error, _, _ = saved
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        variants = [{k: v for k, v in header.items() if k != "header_hash"}, dict(header, extra=1)]
+        for key, value in header.items():
+            if key not in ("format", "version", "header_hash"):
+                variants.append(dict(header, **{key: _changed(value)}))
+                variants.append({k: v for k, v in header.items() if k != key})
+        for bad in variants:
+            path.write_bytes(json.dumps(bad, sort_keys=True).encode() + b"\n" + payload)
+            with pytest.raises(error):
+                load(path)
+        path.write_bytes(head + b"\n" + payload)
+        load(path)
+
+    def test_one_bit_flip_in_header_rejected(self, saved):
+        path, load, error, _, _ = saved
+        data = path.read_bytes()
+        head = data[: _payload_start(data) - 1]
+        # a flip inside the header hash, a payload hash and the row count (9 -> 8)
+        for key, offset in ((b'"header_hash": "', 3), (b'_hash": "', 3), (b'"n": ', 0)):
+            bad = bytearray(data)
+            bad[head.index(key) + len(key) + offset] ^= 0x01
+            path.write_bytes(bytes(bad))
+            with pytest.raises(error, match="header does not match its recorded hash"):
+                load(path)
+
     def test_truncated_or_trailing_bytes_rejected(self, saved):
-        path, load, error, _ = saved
+        path, load, error, _, _ = saved
         data = path.read_bytes()
         for bad in (data[:-1], data[:-8], data[: _payload_start(data)], data + b"\0", data + bytes(8)):
             path.write_bytes(bad)
@@ -100,7 +132,7 @@ class TestArtifactFiles:
                 load(path)
 
     def test_corrupt_header_rejected(self, saved):
-        path, load, error, _ = saved
+        path, load, error, _, _ = saved
         head, payload = path.read_bytes().split(b"\n", 1)
         sizeless = json.loads(head)
         del sizeless["n"]
@@ -116,8 +148,40 @@ class TestArtifactFiles:
                 load(path)
 
 
+def _changed(value):
+    """A different JSON value of the same kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "0"
+    return dict(value, noise_sq=value["noise_sq"] * 3)  # the model's kernel config
+
+
+def test_chunked_payload_hashes_as_its_concatenation(tmp_path):
+    """A payload given as chunks is written back to back and hashed as the
+    1-d array they concatenate to; reading fills the chunks in order."""
+    L = np.asfortranarray(np.tril(np.arange(1.0, 17.0).reshape(4, 4)))
+    columns = [L[j:, j] for j in range(4)]
+    path = tmp_path / "chunks.bin"
+    artifact.write(path, {"kind": "test"}, [("tri_hash", columns, np.float64)])
+    packed = np.concatenate(columns)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    assert payload == packed.astype("<f8").tobytes()
+    assert json.loads(head)["tri_hash"] == artifact.payload_hash(packed.shape, [packed])
+    out = np.zeros((4, 4), order="F")
+    header = artifact.read(path, ValueError, lambda h: [("tri_hash", "triangle", [out[j:, j] for j in range(4)])])
+    assert header["kind"] == "test" and np.array_equal(out, L)
+
+
 def test_hash_covers_shape_and_bytes():
+    def digest(arr):
+        return artifact.payload_hash(arr.shape, [arr])
+
     a = np.arange(6, dtype=np.float64)
-    assert artifact.array_hash(a) != artifact.array_hash(a.reshape(2, 3))
-    assert artifact.array_hash(a) != artifact.array_hash(a.astype(np.int64))
-    assert artifact.array_hash(a) == artifact.array_hash(a.copy())
+    assert digest(a) != digest(a.reshape(2, 3))
+    assert digest(a) != digest(a.astype(np.int64))
+    assert digest(a) == digest(a.copy())
+    # chunk boundaries are not hashed, only the bytes in order
+    assert digest(a) == artifact.payload_hash(a.shape, [a[:1], a[1:4], a[4:]])

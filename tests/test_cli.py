@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nngp_card import cli
+from nngp_card import artifact, cli
 from nngp_card.kernel import KernelConfig
 from nngp_card.queries import Query, RangeFilter
 from nngp_card.workload import WorkloadItem, load_workload, save_workload
@@ -278,6 +278,43 @@ class TestGuards:
                 error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
                 assert error["error"] == "EncodingError" and message in error["message"]
         assert not (tmp_path / "m.bin").exists() and not (tmp_path / "p.jsonl").exists()
+
+    def test_corrupt_model_header_is_structured_error(self, pipeline_dir, tmp_path, capsys):
+        root, _ = pipeline_dir
+        head, payload = (root / "model.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        flipped = head.replace(b'"noise_sq": 0.001', b'"noise_sq": 0.003')
+        assert flipped != head
+        cases = [(flipped, "header does not match its recorded hash")]
+        # headers that a writer could have hashed: no config, an unknown config key
+        for config in (None, dict(header["config"], bogus=1)):
+            bad = {k: v for k, v in header.items() if k not in ("header_hash", "config")}
+            if config is not None:
+                bad["config"] = config
+            bad["header_hash"] = artifact._header_hash(bad)
+            cases.append((json.dumps(bad, sort_keys=True).encode(), "missing or corrupt header"))
+        bad_path = tmp_path / "model.bin"
+        for bad_head, message in cases:
+            bad_path.write_bytes(bad_head + b"\n" + payload)
+            code = cli.main([
+                "predict", "--model", str(bad_path), "--encoded", str(root / "enc.test.bin"),
+                "--out", str(tmp_path / "p.jsonl"),
+            ])
+            assert code == 1
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "ModelIOError" and message in error["message"]
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_predict_inputs_are_the_recorded_file_hashes(self, pipeline_dir, tmp_path):
+        root, _ = pipeline_dir
+        run([
+            "predict", "--model", root / "model.bin", "--encoded", root / "enc.test.bin",
+            "--out", tmp_path / "pred.jsonl",
+        ])
+        inputs = json.loads((tmp_path / "pred.jsonl").read_text().splitlines()[0])["_header"]["inputs"]
+        for key, name in (("model", "model.bin"), ("encoded", "enc.test.bin")):
+            recorded = json.loads((root / name).read_bytes().split(b"\n", 1)[0])["header_hash"]
+            assert inputs[key] == recorded
 
     def test_evaluate_requires_the_predictions_header(self, pipeline_dir, tmp_path, capsys):
         root, _ = pipeline_dir

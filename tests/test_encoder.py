@@ -359,11 +359,23 @@ class TestEncodedFile:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "enc.bin"
         # v1 files may hold unnormalized factorized slots; v2 files carry no
-        # payload hashes
-        for fmt in ("other", "nngp-card-encoded-v1", "nngp-card-encoded-v2"):
+        # payload hashes; v3 files carry no header hash
+        for fmt in ("other", "nngp-card-encoded-v1", "nngp-card-encoded-v2", "nngp-card-encoded-v3"):
             path.write_bytes(json.dumps({"format": fmt}).encode() + b"\n")
             with pytest.raises(EncodingError, match="unexpected format"):
                 load_encoded(path)
+
+    def test_v3_file_rejected(self, tmp_path):
+        """A file in the v3 layout: payload hashes, no header hash."""
+        path = tmp_path / "enc.bin"
+        save_encoded(path, np.random.default_rng(2).uniform(size=(5, 3)), "x")
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        del header["header_hash"]
+        header["format"] = "nngp-card-encoded-v3"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(EncodingError, match="unexpected format 'nngp-card-encoded-v3'"):
+            load_encoded(path)
 
     def test_layout_hash_differs_when_chunk_size_differs(self):
         rel = categorical_relation("r", 20)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nngp_card import gp
+from nngp_card import artifact, gp
 from nngp_card.gp import FitError, ModelIOError
 from nngp_card.kernel import KernelConfig, kernel_diag, kernel_matrix, nngp_kernel, rbf_kernel
 
@@ -407,7 +407,39 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert np.array_equal(loaded.chol, est.chol) and np.array_equal(loaded.alpha, est.alpha)
-        assert peak <= 1.3 * path.stat().st_size
+        # the file holds only the factor's lower triangle, so the arrays the
+        # load returns, not the file, are the memory it must hold
+        returned = sum(a.nbytes for a in (loaded.X_train, loaded.y_log, loaded.chol, loaded.alpha))
+        assert peak <= 1.3 * returned
+
+    def test_packed_round_trip_is_bit_identical(self, model_3000):
+        est, path = model_3000
+        loaded = gp.load(path)
+        assert est.chol.flags.f_contiguous and loaded.chol.flags.f_contiguous
+        assert not np.any(np.triu(loaded.chol, 1))
+        assert np.array_equal(loaded.chol, est.chol)
+        assert loaded.config == est.config and loaded.jitter == est.jitter
+        X_test = np.random.default_rng(23).uniform(0, 1, (50, est.X_train.shape[1]))
+        p1, p2 = gp.predict(est, X_test), gp.predict(loaded, X_test)
+        for field in ("mean_log", "var_log", "ci_low", "ci_high", "cov", "card_estimate"):
+            assert np.array_equal(getattr(p1, field), getattr(p2, field))
+
+    def test_file_stores_the_lower_triangle(self, model_3000):
+        est, path = model_3000
+        n, d = est.X_train.shape
+        head = path.read_bytes()[: 1 << 12].split(b"\n", 1)[0]
+        assert path.stat().st_size == len(head) + 1 + 8 * (n * d + n + n * (n + 1) // 2 + n)
+
+    def test_save_makes_no_factor_sized_copy(self, model_3000, tmp_path):
+        est, _ = model_3000
+        n = est.n_train
+        tracemalloc.start()
+        try:
+            gp.save(est, tmp_path / "model.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -415,11 +447,47 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="not a model file"):
             gp.load(path)
         # version-1 configs hold a kernel key that KernelConfig no longer has;
-        # version-2 files carry no hashes of the factor and the weights
-        for version in (1, 2):
+        # version-2 files carry no hashes of the factor and the weights;
+        # version-3 files store the full factor and carry no header hash
+        for version in (1, 2, 3):
             path.write_bytes(json.dumps({"format": gp.MODEL_FORMAT, "version": version}).encode() + b"\n")
             with pytest.raises(ModelIOError, match="unsupported model version"):
                 gp.load(path)
+
+    def test_version_3_file_rejected(self, tmp_path, small_data):
+        """A file in the version-3 layout (full factor, payload hashes only)."""
+        X, y = small_data
+        est = gp.fit(X, y, KernelConfig())
+        n, d = X.shape
+        payloads = [est.X_train, est.y_log, np.ascontiguousarray(est.chol), est.alpha]
+        header = {
+            "format": gp.MODEL_FORMAT, "version": 3, "config": est.config.to_dict(),
+            "layout_hash": "", "n": n, "d_enc": d, "jitter": est.jitter,
+        }
+        header.update({key: artifact.payload_hash(a.shape, [a]) for (_, key, _), a in zip(gp._PAYLOADS, payloads)})
+        path = tmp_path / "model.bin"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(a.tobytes() for a in payloads))
+        with pytest.raises(ModelIOError, match="unsupported model version 3"):
+            gp.load(path)
+
+    def test_flipped_noise_in_header_rejected(self, tmp_path, small_data):
+        X, y = small_data
+        path = tmp_path / "model.bin"
+        gp.save(gp.fit(X, y, KernelConfig(noise_sq=0.001)), path)
+        data = path.read_bytes()
+        at = data.index(b'"noise_sq": 0.001') + len(b'"noise_sq": 0.00')
+        path.write_bytes(data[:at] + b"3" + data[at + 1 :])  # 0x31 -> 0x33, one bit
+        with pytest.raises(ModelIOError, match="header does not match its recorded hash"):
+            gp.load(path)
+
+    @pytest.mark.parametrize("config", [None, {"sigma_w_sq": 1.6, "bogus": 1}, {"depth": -1}, 7])
+    def test_bad_config_is_a_corrupt_header(self, tmp_path, small_data, config):
+        X, y = small_data
+        path = tmp_path / "model.bin"
+        gp.save(gp.fit(X, y, KernelConfig()), path)
+        _rewrite_header(path, config=config)
+        with pytest.raises(ModelIOError, match="missing or corrupt header"):
+            gp.load(path)
 
     @pytest.mark.parametrize("region", ["chol", "alpha"])
     def test_flipped_payload_byte_rejected(self, tmp_path, small_data, region):
@@ -428,11 +496,13 @@ class TestPersistence:
         path = tmp_path / "model.bin"
         gp.save(gp.fit(X, y, KernelConfig()), path)
         gp.load(path)
-        # payload order: X_train, y_log, chol (n x n), alpha (n)
+        # payload order: X_train, y_log, chol (lower triangle by columns,
+        # n (n + 1) / 2 values), alpha (n)
         chol_start = (n * d + n) * 8
+        j = n // 2  # column j starts after sum_{i < j} (n - i) values; its first is the diagonal
         offset = {
-            "chol": chol_start + (n // 2 * n + n // 2) * 8 + 3,  # a diagonal entry
-            "alpha": chol_start + n * n * 8 + 8 + 3,
+            "chol": chol_start + (j * n - j * (j - 1) // 2) * 8 + 3,  # a diagonal entry
+            "alpha": chol_start + n * (n + 1) // 2 * 8 + 8 + 3,
         }[region]
         data = bytearray(path.read_bytes())
         data[data.index(b"\n") + 1 + offset] ^= 0x01
@@ -446,3 +516,18 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="layout mismatch"):
             gp.predict(est, X, layout_hash="layout-B")
         gp.predict(est, X, layout_hash="layout-A")
+
+
+def _rewrite_header(path, **changes):
+    """Replace header values (None deletes the key) and record a matching
+    header hash, as a file written with that header would carry."""
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header["header_hash"]
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    header["header_hash"] = artifact._header_hash(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
