@@ -1,12 +1,16 @@
-"""One binary file format for model files and encoded-matrix files.
+"""The two file formats of the package: one binary, one JSON lines.
 
-A file is one JSON header line with sorted keys, then its payloads back to
-back as little-endian bytes. A payload is one array in C order, or an ordered
-sequence of contiguous chunks (such as the columns of a triangle) written
-back to back. The header holds a hash of every payload and `header_hash`, a
-hash of every other header key, so a load verifies every byte it returns and
-every header value it reads. A load checks the payload size against the file
-size, then reads each chunk straight into the caller's buffer, without a copy.
+A binary file (a model or an encoded matrix) is one JSON header line with
+sorted keys, then its payloads back to back as little-endian bytes. A payload
+is one array in C order, or an ordered sequence of contiguous chunks (such as
+the columns of a triangle) written back to back. The header holds a hash of
+every payload and `header_hash`, a hash of every other header key, so a load
+verifies every byte it returns and every header value it reads. A load checks
+the payload size against the file size, then reads each chunk straight into
+the caller's buffer, without a copy.
+
+A JSON-lines file (queries, labeled workloads, predictions) is a
+`{"_header": ...}` line, then one key-sorted object per record.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -98,3 +103,42 @@ def read(path, error: type[Exception], payloads) -> dict:
             if payload_hash(shape, filled(what, chunks)) != header.get(key):
                 raise error(f"{path}: {what} payload does not match its recorded hash")
     return header
+
+
+def write_jsonl(path, header: dict | None, records: Iterable[dict]) -> None:
+    """Write a `{"_header": header}` line unless `header` is None, then one key-sorted object per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(json.dumps({"_header": header}, sort_keys=True, allow_nan=False) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+
+
+def read_jsonl(path, error: type[Exception], parse: Callable[[dict], object]) -> tuple[list, dict | None]:
+    """Each record of a JSON-lines file parsed by `parse`, and the object of its
+    last `_header` line (None if none; concatenated files read as one). A line
+    that is not an object or that `parse` rejects (`error`, KeyError, TypeError,
+    AttributeError, ValueError) raises `error` naming the path and the line."""
+    records = []
+    header = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                doc = json.loads(line)
+                if type(doc) is not dict:
+                    raise error("not a JSON object")
+                if "_header" not in doc:
+                    records.append(parse(doc))
+                elif type(doc["_header"]) is dict:
+                    header = doc["_header"]
+                else:
+                    raise error("header is not a JSON object")
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}: line {line_no}: invalid JSON ({exc})") from None
+            except KeyError as exc:
+                raise error(f"{path}: line {line_no}: missing key {exc}") from None
+            except (error, TypeError, ValueError, AttributeError) as exc:
+                raise error(f"{path}: line {line_no}: {exc}") from None
+    return records, header

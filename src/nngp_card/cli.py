@@ -1,9 +1,9 @@
 """Command-line pipeline: synth -> gen-queries -> label -> encode -> train ->
 predict -> evaluate, plus active-learn and selfcheck.
 
-Every subcommand is deterministic given --seed; output files embed the
-effective config and the hashes of their inputs, never timestamps (those go
-to the stderr log only). Unknown config keys are rejected, not ignored.
+Every subcommand is deterministic given --seed; output files embed the settings
+their command used and the hashes of their inputs, never timestamps (those go
+to the stderr log only). Unknown config sections and keys are rejected.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, encoder, evaluation, gp, oracle, workload
+from . import __version__, artifact, diagnostics, encoder, evaluation, gp, oracle, workload
 from .encoder import EncodingError, build_layout, encode_batch, load_encoded, save_encoded
 from .gp import FitError, ModelIOError
 from .kernel import KernelConfig, KernelError
 from .oracle import OracleError
 from .queries import QueryError, read_queries_jsonl, write_queries_jsonl
 from .relstore import (
+    IngestError,
     RelStoreError,
     export_csv,
     ingest_csv,
@@ -38,7 +38,10 @@ from .workload import WorkloadError
 
 log = logging.getLogger("nngp_card")
 
-THREADS_ENV = "NNGP_CARD_THREADS"
+
+class PredictionFileError(Exception):
+    """A predictions file fails to parse."""
+
 
 _ERRORS = (
     RelStoreError,
@@ -49,6 +52,7 @@ _ERRORS = (
     KernelError,
     FitError,
     ModelIOError,
+    PredictionFileError,
     ValueError,
     FileNotFoundError,
 )
@@ -94,26 +98,11 @@ def _jsonify(obj):
     return obj
 
 
-def _threads(args) -> int:
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            threads, source = int(env), THREADS_ENV
-        except ValueError:
-            raise CLIError(f"{THREADS_ENV}={env!r} is not an integer") from None
-    if threads < 1:
-        raise CLIError(f"{source}={threads} must be >= 1")
-    return threads
-
-
 # ---------------------------------------------------------------------------
-# configuration: JSON file with "kernel" / "encoder" / "delta"; flags override
+# configuration: JSON file with "kernel" / "encoder"; flags override
 # ---------------------------------------------------------------------------
 
-_CONFIG_SECTIONS = {"kernel", "encoder", "delta"}
+_CONFIG_SECTIONS = {"kernel", "encoder"}
 _ENCODER_KEYS = {"chunk_size", "bitmap_threshold"}
 
 _KERNEL_FLAGS = (
@@ -141,38 +130,24 @@ def _load_config_file(path) -> dict:
 
 
 def _effective_config(args) -> dict:
+    """Kernel and encoder settings: defaults, then the config file, then flags."""
     doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
     kernel_doc = dict(doc.get("kernel", {}))
-    for name, _ in _KERNEL_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            kernel_doc[name] = value
-    kernel_config = KernelConfig.from_dict(kernel_doc)  # rejects unknown keys
-
-    encoder_doc = dict(doc.get("encoder", {}))
-    if getattr(args, "chunk_size", None) is not None:
-        encoder_doc["chunk_size"] = args.chunk_size
-    if getattr(args, "bitmap_threshold", None) is not None:
-        encoder_doc["bitmap_threshold"] = args.bitmap_threshold
-    encoder_doc.setdefault("chunk_size", encoder.DEFAULT_CHUNK_SIZE)
-    encoder_doc.setdefault("bitmap_threshold", encoder.DEFAULT_BITMAP_THRESHOLD)
-
-    delta = getattr(args, "delta", None)
-    if delta is None:
-        delta = doc.get("delta", 0.95)
-    return {"kernel": kernel_config, "encoder": encoder_doc, "delta": float(delta)}
+    encoder_doc = {"chunk_size": encoder.DEFAULT_CHUNK_SIZE, "bitmap_threshold": encoder.DEFAULT_BITMAP_THRESHOLD}
+    encoder_doc.update(doc.get("encoder", {}))
+    for section, names in ((kernel_doc, [name for name, _ in _KERNEL_FLAGS]), (encoder_doc, _ENCODER_KEYS)):
+        for name in names:
+            if getattr(args, name, None) is not None:
+                section[name] = getattr(args, name)
+    return {"kernel": KernelConfig.from_dict(kernel_doc), "encoder": encoder_doc}  # rejects unknown keys
 
 
-def _header(args, command: str, cfg: dict | None = None, inputs: dict | None = None) -> dict:
+def _header(args, command: str, config: dict | None = None, inputs: dict | None = None) -> dict:
     head = {"tool": "nngp-card", "version": __version__, "command": command}
     if getattr(args, "seed", None) is not None:
         head["seed"] = args.seed
-    if cfg:
-        head["config"] = {
-            "kernel": cfg["kernel"].to_dict(),
-            "encoder": cfg["encoder"],
-            "delta": cfg["delta"],
-        }
+    if config:
+        head["config"] = config
     if inputs:
         head["inputs"] = inputs
     return head
@@ -195,7 +170,11 @@ def cmd_synth(args) -> int:
     for i, rel_spec in enumerate(spec["relations"]):
         name = rel_spec.get("name", f"rel{i}")
         seed = rel_spec.get("seed", args.seed + i)
-        relation = synth_relation(seed, int(rel_spec["rows"]), rel_spec["columns"], name=name)
+        try:
+            rows, columns = int(rel_spec["rows"]), rel_spec["columns"]
+        except KeyError as exc:
+            raise IngestError(f"{args.spec}: relation {i} lacks key {exc}") from None
+        relation = synth_relation(seed, rows, columns, name=name)
         export_csv(relation, out_dir / f"{name}.csv")
         save_schema(relation, out_dir / f"{name}.schema.json")
         entries.append({"name": name, "csv": f"{name}.csv", "schema": f"{name}.schema.json"})
@@ -259,7 +238,9 @@ def cmd_gen_queries(args) -> int:
 def cmd_label(args) -> int:
     catalog = load_catalog_file(args.catalog)
     items, _ = read_queries_jsonl(args.queries)
-    labeled = workload.finalize([q for q, _ in items], catalog, threads=_threads(args))
+    # One oracle thread: the thread pool gains nothing on 2 cores (perfbench's join-pipeline
+    # `oracle.pool_speedup`, one thread's time over the pool's, read 0.62-1.04).
+    labeled = workload.finalize([q for q, _ in items], catalog, threads=1)
     header = _header(
         args, "label", inputs={"catalog": _hash_file(args.catalog), "queries": _hash_file(args.queries)}
     )
@@ -288,11 +269,7 @@ def cmd_encode(args) -> int:
     catalog = load_catalog_file(args.catalog)
     cfg = _effective_config(args)
     items, _ = read_queries_jsonl(args.queries)
-    layout = build_layout(
-        catalog,
-        chunk_size=cfg["encoder"]["chunk_size"],
-        bitmap_threshold=cfg["encoder"]["bitmap_threshold"],
-    )
+    layout = build_layout(catalog, **cfg["encoder"])
     queries = [q for q, _ in items]
     matrix = encode_batch(queries, layout, catalog)
 
@@ -303,7 +280,7 @@ def cmd_encode(args) -> int:
     header = _header(
         args,
         "encode",
-        cfg,
+        {"encoder": cfg["encoder"]},
         inputs={"catalog": _hash_file(args.catalog), "queries": _hash_file(args.queries)},
     )
     save_encoded(
@@ -346,50 +323,42 @@ _RECORD_FIELDS = ("card_estimate", "mean_log", "var_log", "ci_low", "ci_high", "
 
 
 def cmd_predict(args) -> int:
-    cfg_delta = args.delta if args.delta is not None else 0.95
     estimator = gp.load(args.model)
     X, ids, _, enc_header = load_encoded(args.encoded)
-    prediction = gp.predict(estimator, X, delta=cfg_delta, layout_hash=enc_header["layout_hash"])
+    prediction = gp.predict(estimator, X, delta=args.delta, layout_hash=enc_header["layout_hash"])
     if ids is None:
         ids = np.arange(len(X), dtype=np.int64)
     # the files' own verified header hashes, which commit to every payload
     header = _header(
         args, "predict", inputs={"model": estimator.file_hash, "encoded": enc_header["header_hash"]}
     )
-    header["delta"] = cfg_delta
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_json_line({"_header": header}) + "\n")
-        for i in range(len(X)):
-            record = {name: float(getattr(prediction, name)[i]) for name in _RECORD_FIELDS}
-            fh.write(_json_line({"query_id": int(ids[i]), **record}) + "\n")
+    header["delta"] = args.delta
+    # columns as lists of Python numbers; a non-finite cov becomes null
+    columns = [ids.tolist()] + [_jsonify(getattr(prediction, name)) for name in _RECORD_FIELDS]
+    records = (dict(zip(("query_id",) + _RECORD_FIELDS, row)) for row in zip(*columns))
+    artifact.write_jsonl(args.out, header, records)
     log.info("predicted %d queries -> %s", len(X), args.out)
     print(_json_line({"out": args.out, "n": len(X)}))
     return 0
 
 
-def _read_predictions(path) -> tuple[dict[int, dict], dict]:
-    """Prediction records by query id, and the file's header."""
-    out, header = {}, None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "_header" in doc:
-                header = doc["_header"]
-                continue
-            cov = doc.get("cov")
-            doc["cov"] = float("inf") if cov is None else float(cov)
-            out[int(doc["query_id"])] = doc
-    if header is None or "delta" not in header:
-        raise CLIError(f"{path} has no predictions header with a delta")
-    return out, header
-
-
 def cmd_evaluate(args) -> int:
     labeled, _ = workload.load_workload(args.labeled)
-    preds, pred_header = _read_predictions(args.pred)
+    preds: dict[int, dict] = {}
+
+    def record(doc: dict) -> None:
+        query_id = doc["query_id"]
+        if type(query_id) is not int:
+            raise PredictionFileError(f"query_id must be an integer, got {query_id!r}")
+        if query_id in preds:
+            raise PredictionFileError(f"duplicate query_id {query_id}")
+        # predict writes an infinite cov as null
+        preds[query_id] = {name: math.inf if name == "cov" and doc[name] is None else float(doc[name])
+                           for name in _RECORD_FIELDS}
+
+    _, pred_header = artifact.read_jsonl(args.pred, PredictionFileError, record)
+    if pred_header is None or "delta" not in pred_header:
+        raise PredictionFileError(f"{args.pred} has no predictions header with a delta")
     missing = [it.query.id for it in labeled if it.query.id not in preds]
     if missing:
         raise CLIError(f"{len(missing)} labeled queries lack predictions (first: {missing[:5]})")
@@ -424,11 +393,7 @@ def _encode_labeled(path, catalog, layout):
 def cmd_active_learn(args) -> int:
     catalog = load_catalog_file(args.catalog)
     cfg = _effective_config(args)
-    layout = build_layout(
-        catalog,
-        chunk_size=cfg["encoder"]["chunk_size"],
-        bitmap_threshold=cfg["encoder"]["bitmap_threshold"],
-    )
+    layout = build_layout(catalog, **cfg["encoder"])
     train, X_train, y_train = _encode_labeled(args.train, catalog, layout)
     pool, X_pool, y_pool = _encode_labeled(args.pool, catalog, layout)
     test, X_test, _ = _encode_labeled(args.test, catalog, layout)
@@ -448,7 +413,7 @@ def cmd_active_learn(args) -> int:
     doc = _header(
         args,
         "active-learn",
-        cfg,
+        {"kernel": cfg["kernel"].to_dict(), "encoder": cfg["encoder"]},
         inputs={
             "catalog": _hash_file(args.catalog),
             "train": _hash_file(args.train),
@@ -546,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
     p.add_argument("--split", help="train,valid,test fractions, e.g. 0.6,0.2,0.2")
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.add_argument("--split-out-prefix", dest="split_out_prefix")
@@ -570,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--encoded", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta", type=float, help="confidence level (default 0.95)")
+    p.add_argument("--delta", type=float, default=0.95, help="confidence level (default 0.95)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="q-error statistics and uncertainty diagnostics")

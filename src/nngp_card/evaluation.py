@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import rankdata
 
 from . import gp
 from .gp import CardinalityEstimator, Prediction
@@ -106,6 +105,16 @@ def _stats_row(label: str, s: QErrorStats) -> str:
     )
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group sharing its mean rank; all NaN if any
+    value is NaN. Equal, bit for bit, to `scipy.stats.rankdata(a)`."""
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # the tie group of each distinct value holds ranks end - count + 1 .. end
+    return ((ends - counts + 1 + ends) / 2.0)[group]
+
+
 def spearman(x: np.ndarray, y: np.ndarray) -> float | None:
     """Rank correlation with average ties; None when undefined.
 
@@ -117,8 +126,8 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float | None:
         raise ValueError("spearman needs two aligned 1-d arrays")
     if x.size < 10:
         return None
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if rx.std() == 0.0 or ry.std() == 0.0:
         return None
     return float(np.corrcoef(rx, ry)[0, 1])

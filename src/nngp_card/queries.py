@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Union
 
+from . import artifact
 from .relstore import CategoricalType, SchemaCatalog, split_ref
 
 JOIN_OPS = ("<", "<=", "=", ">=", ">", "!=")
@@ -191,53 +192,42 @@ def query_to_dict(query: Query, cardinality: int | None = None) -> dict:
     return doc
 
 
+def _list(value, what: str) -> list:
+    if type(value) is not list:
+        raise QueryError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def query_from_dict(doc: dict) -> tuple[Query, int | None]:
-    if "relations" not in doc:
-        raise QueryError(f"query object lacks 'relations': {doc}")
+    """(query, cardinality or None) of one JSON object; a missing key raises KeyError."""
     selections: list[tuple[str, Filter]] = []
     for sel in doc.get("selections", []):
+        attr = sel["attr"]
+        if type(attr) is not str:
+            raise QueryError(f"selection attribute must be a string, got {attr!r}")
         if "range" in sel:
             lb, ub = sel["range"]
-            selections.append((sel["attr"], RangeFilter(float(lb), float(ub))))
+            selections.append((attr, RangeFilter(float(lb), float(ub))))
         elif "in" in sel:
-            selections.append((sel["attr"], InFilter(tuple(str(v) for v in sel["in"]))))
+            selections.append((attr, InFilter(tuple(str(v) for v in _list(sel["in"], "IN values")))))
         else:
             raise QueryError(f"selection {sel} has neither 'range' nor 'in'")
-    joins = tuple(JoinCondition(int(j["pair"]), str(j["op"])) for j in doc.get("joins", []))
+    joins = tuple(JoinCondition(index(j["pair"]), str(j["op"])) for j in doc.get("joins", []))
     query = Query(
-        relations=tuple(doc["relations"]),
+        relations=tuple(_list(doc["relations"], "relations")),
         selections=tuple(selections),
         joins=joins,
-        id=doc.get("id"),
+        id=None if doc.get("id") is None else index(doc["id"]),
     )
     card = doc.get("cardinality")
-    return query, (int(card) if card is not None else None)
+    return query, (None if card is None else index(card))
 
 
 def write_queries_jsonl(path, items: Iterable[tuple[Query, int | None]], header: dict | None = None) -> None:
     """Write queries (optionally labeled) as JSONL, one object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({"_header": header}, sort_keys=True) + "\n")
-        for query, card in items:
-            fh.write(json.dumps(query_to_dict(query, card), sort_keys=True) + "\n")
+    artifact.write_jsonl(path, header, (query_to_dict(query, card) for query, card in items))
 
 
 def read_queries_jsonl(path) -> tuple[list[tuple[Query, int | None]], dict | None]:
     """Read a (possibly labeled) JSONL query file; returns items and header."""
-    items: list[tuple[Query, int | None]] = []
-    header = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QueryError(f"{path}: line {line_no}: invalid JSON ({exc})") from None
-            if "_header" in doc:
-                header = doc["_header"]
-                continue
-            items.append(query_from_dict(doc))
-    return items, header
+    return artifact.read_jsonl(path, QueryError, query_from_dict)

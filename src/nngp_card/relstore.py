@@ -193,21 +193,22 @@ class SchemaCatalog:
             object.__setattr__(
                 self, "relations", tuple(sorted(self.relations, key=lambda r: r.name))
             )
+        seen = set()
         for left, right in self.join_pairs:
-            self._check_pair(left, right)
-
-    def _check_pair(self, left: str, right: str) -> None:
-        lt = self.resolve(left)
-        rt = self.resolve(right)
-        if lt.kind != rt.kind:
-            raise CatalogError(
-                f"join pair ({left}, {right}) mixes {lt.kind} and {rt.kind} attributes"
-            )
-        if split_ref(left)[0] == split_ref(right)[0]:
-            raise CatalogError(
-                f"join pair ({left}, {right}) must reference two distinct "
-                "relations; self-joins use a renamed copy"
-            )
+            lt = self.resolve(left)
+            rt = self.resolve(right)
+            if lt.kind != rt.kind:
+                raise CatalogError(
+                    f"join pair ({left}, {right}) mixes {lt.kind} and {rt.kind} attributes"
+                )
+            if split_ref(left)[0] == split_ref(right)[0]:
+                raise CatalogError(
+                    f"join pair ({left}, {right}) must reference two distinct "
+                    "relations; self-joins use a renamed copy"
+                )
+            if frozenset((left, right)) in seen:
+                raise CatalogError(f"join pair ({left}, {right}) already registered")
+            seen.add(frozenset((left, right)))
 
     def relation(self, name: str) -> Relation:
         for rel in self.relations:
@@ -295,10 +296,6 @@ def register_join_pair(catalog: SchemaCatalog, left: str, right: str) -> SchemaC
     Both sides must exist and have the same column kind. Re-registering a
     pair (in either orientation) is an error.
     """
-    catalog._check_pair(left, right)
-    for l, r in catalog.join_pairs:
-        if (l, r) == (left, right) or (l, r) == (right, left):
-            raise CatalogError(f"join pair ({left}, {right}) already registered")
     return SchemaCatalog(catalog.relations, catalog.join_pairs + ((left, right),))
 
 
@@ -428,13 +425,14 @@ def load_catalog_file(path) -> SchemaCatalog:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     relations = []
-    for entry in doc.get("relations", []):
-        _, schema = load_schema(path.parent / entry["schema"])
-        relations.append(ingest_csv(path.parent / entry["csv"], schema, name=entry["name"]))
-    catalog = SchemaCatalog(tuple(relations))
-    for left, right in doc.get("join_pairs", []):
-        catalog = register_join_pair(catalog, left, right)
-    return catalog
+    for i, entry in enumerate(doc.get("relations", [])):
+        try:
+            name, csv_path, schema_path = entry["name"], entry["csv"], entry["schema"]
+        except KeyError as exc:
+            raise CatalogError(f"{path}: relation entry {i} lacks key {exc}") from None
+        _, schema = load_schema(path.parent / schema_path)
+        relations.append(ingest_csv(path.parent / csv_path, schema, name=name))
+    return SchemaCatalog(tuple(relations), tuple(map(tuple, doc.get("join_pairs", []))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Binary artifacts: model and encoded-matrix files share one verifying codec."""
+"""File formats: model and encoded-matrix files share one verifying binary
+codec; query, workload and prediction files share one JSON-lines codec."""
 
 import json
 
@@ -185,3 +186,62 @@ def test_hash_covers_shape_and_bytes():
     assert digest(a) == digest(a.copy())
     # chunk boundaries are not hashed, only the bytes in order
     assert digest(a) == artifact.payload_hash(a.shape, [a[:1], a[1:4], a[4:]])
+
+
+class JsonlError(Exception):
+    pass
+
+
+def _pair(doc):
+    return doc["a"], int(doc["b"])
+
+
+class TestJsonl:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        records = [{"b": 2, "a": "x"}, {"a": "y", "b": 3, "c": [1.5, None]}]
+        artifact.write_jsonl(path, {"n": 2, "tool": "t"}, records)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == '{"_header": {"n": 2, "tool": "t"}}'
+        assert lines[1] == '{"a": "x", "b": 2}'  # keys sorted
+        assert artifact.read_jsonl(path, JsonlError, _pair) == ([("x", 2), ("y", 3)], {"n": 2, "tool": "t"})
+
+    def test_no_header_blank_lines_and_concatenation(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        artifact.write_jsonl(path, None, [{"a": "x", "b": 1}])
+        assert artifact.read_jsonl(path, JsonlError, _pair) == ([("x", 1)], None)
+        path.write_text('{"_header": {"n": 1}}\n\n{"a": "x", "b": 1}\n  \n{"_header": {"n": 2}}\n', encoding="utf-8")
+        # the last header wins, so concatenated files read as one
+        assert artifact.read_jsonl(path, JsonlError, _pair) == ([("x", 1)], {"n": 2})
+
+    def test_non_finite_float_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            artifact.write_jsonl(tmp_path / "x.jsonl", None, [{"a": float("nan")}])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "invalid JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ("7", "not a JSON object"),
+            ('{"_header": [1]}', "header is not a JSON object"),
+            ('{"a": "x"}', "missing key 'b'"),
+            ('{"a": "x", "b": "seven"}', "invalid literal"),
+            ('{"a": "x", "b": null}', "int()"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"_header": {}}\n{"a": "x", "b": 1}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(JsonlError, match="line 4") as info:
+            artifact.read_jsonl(path, JsonlError, _pair)
+        assert str(info.value).startswith(f"{path}: line 4: ") and message in str(info.value)
+
+    def test_callers_own_error_gets_the_location(self, tmp_path):
+        def parse(doc):
+            raise JsonlError("bad record")
+
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n', encoding="utf-8")
+        with pytest.raises(JsonlError, match=r"x\.jsonl: line 1: bad record"):
+            artifact.read_jsonl(path, JsonlError, parse)

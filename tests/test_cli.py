@@ -191,6 +191,10 @@ class TestDeterminism:
             "predict", "--model", root / "model.bin", "--encoded", root / "enc.bin",
             "--out", root / "pred.jsonl",
         ])
+        run([
+            "evaluate", "--pred", root / "pred.jsonl", "--labeled", root / "labeled.jsonl",
+            "--out", root / "report.json",
+        ])
 
     def test_identical_seeds_give_byte_identical_outputs(self, tmp_path):
         a = tmp_path / "a"
@@ -199,7 +203,8 @@ class TestDeterminism:
         b.mkdir()
         self._run_pipeline(a)
         self._run_pipeline(b)
-        for name in ("data/emp.csv", "q.jsonl", "labeled.jsonl", "enc.bin", "model.bin", "pred.jsonl"):
+        names = ("data/emp.csv", "q.jsonl", "labeled.jsonl", "enc.bin", "model.bin", "pred.jsonl", "report.json")
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -229,6 +234,86 @@ class TestGuards:
             "--model", str(tmp_path / "m.bin"), "--config", str(cfg),
         ])
         assert code == 1
+
+    def test_config_delta_rejected(self, pipeline_dir, tmp_path, capsys):
+        # the interval level is set by `predict --delta` only
+        root, catalog = pipeline_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"delta": 0.9}', encoding="utf-8")
+        commands = [
+            ["train", "--encoded", root / "enc.train.bin", "--model", tmp_path / "m.bin"],
+            ["encode", "--catalog", catalog, "--queries", root / "labeled.test.jsonl", "--out", tmp_path / "e.bin"],
+        ]
+        for command in commands:
+            assert cli.main([str(a) for a in command + ["--config", cfg]]) == 1
+            assert "unknown config sections: ['delta']" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists() and not (tmp_path / "e.bin").exists()
+
+    def test_encode_header_records_only_encoder_settings(self, pipeline_dir):
+        root, _ = pipeline_dir
+        header = json.loads((root / "enc.train.bin").read_bytes().split(b"\n", 1)[0])
+        assert header["config"] == {"encoder": {"chunk_size": 8, "bitmap_threshold": 16}}
+
+    def test_bad_prediction_file_names_path_and_line(self, pipeline_dir, tmp_path, capsys):
+        root, _ = pipeline_dir
+        pred = tmp_path / "pred.jsonl"
+        run(["predict", "--model", root / "model.bin", "--encoded", root / "enc.test.bin", "--out", pred])
+        lines = pred.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[1])
+        fresh = dict(first, query_id=10**9)  # an id no other record has
+        cases = [
+            ("{not json\n", "invalid JSON"),
+            (json.dumps({k: v for k, v in fresh.items() if k != "var_log"}) + "\n", "missing key 'var_log'"),
+            (json.dumps({k: v for k, v in fresh.items() if k != "query_id"}) + "\n", "missing key 'query_id'"),
+            (json.dumps(dict(fresh, query_id="7")) + "\n", "query_id must be an integer, got '7'"),
+            (json.dumps(dict(fresh, mean_log="high")) + "\n", "could not convert"),
+            (lines[1], f"duplicate query_id {first['query_id']}"),
+        ]
+        bad = tmp_path / "bad.jsonl"
+        for line, message in cases:
+            bad.write_text("".join(lines[:3]) + line + "".join(lines[3:]), encoding="utf-8")
+            code = cli.main(["evaluate", "--pred", str(bad), "--labeled", str(root / "labeled.test.jsonl")])
+            assert code == 1, line
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "PredictionFileError"
+            assert error["message"].startswith(f"{bad}: line 4: ") and message in error["message"]
+
+    def test_bad_query_file_names_path_and_line(self, pipeline_dir, tmp_path, capsys):
+        root, catalog = pipeline_dir
+        lines = (root / "qs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        doc = json.loads(lines[1])
+        del doc["selections"][0]["attr"]
+        bad = tmp_path / "bad.jsonl"
+        for line, message in (("{not json\n", "invalid JSON"), (json.dumps(doc) + "\n", "missing key 'attr'")):
+            bad.write_text("".join(lines[:2]) + line, encoding="utf-8")
+            code = cli.main(["label", "--catalog", str(catalog), "--queries", str(bad), "--out", str(tmp_path / "l.jsonl")])
+            assert code == 1
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "QueryError"
+            assert error["message"].startswith(f"{bad}: line 3: ") and message in error["message"]
+
+    def test_spec_without_rows_is_structured_error(self, tmp_path, capsys):
+        spec = {"relations": [SPEC["relations"][0], {k: v for k, v in SPEC["relations"][1].items() if k != "rows"}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "d")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "IngestError"
+        assert str(tmp_path / "spec.json") in error["message"] and "'rows'" in error["message"]
+
+    def test_catalog_entry_without_schema_is_structured_error(self, pipeline_dir, tmp_path, capsys):
+        root, catalog = pipeline_dir
+        doc = json.loads(catalog.read_text(encoding="utf-8"))
+        del doc["relations"][1]["schema"]
+        bad = catalog.parent / "bad_catalog.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main([
+            "gen-queries", "--catalog", str(bad), "--mode", "join", "--n", "5", "--out", str(tmp_path / "q.jsonl"),
+        ])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "CatalogError"
+        assert str(bad) in error["message"] and "'schema'" in error["message"]
 
     def test_layout_hash_mismatch_rejected_at_predict(self, pipeline_dir, tmp_path, capsys):
         root, catalog = pipeline_dir
@@ -340,27 +425,6 @@ class TestGuards:
         err = capsys.readouterr().err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "FileNotFoundError"
 
-    def test_threads_env_must_be_integer(self, pipeline_dir, tmp_path, monkeypatch, capsys):
-        root, catalog = pipeline_dir
-        label = [
-            "label", "--catalog", str(catalog), "--queries", str(root / "qs.jsonl"),
-            "--out", str(tmp_path / "x.jsonl"),
-        ]
-        cases = [
-            ("lots", [], "not an integer"),
-            ("0", [], "must be >= 1"),
-            ("-5", [], "must be >= 1"),
-            (None, ["--threads", "0"], "must be >= 1"),
-            (None, ["--threads", "-2"], "must be >= 1"),
-        ]
-        for env, flags, message in cases:
-            if env is None:
-                monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(cli.THREADS_ENV, env)
-            assert cli.main(label + flags) == 1, (env, flags)
-            assert message in capsys.readouterr().err
-
     def test_kernel_flags_cover_config_fields(self):
         # a KernelConfig field without a flag is a knob no CLI user can set
         assert {name for name, _ in cli._KERNEL_FLAGS} == set(KernelConfig.__dataclass_fields__)
@@ -384,6 +448,9 @@ class TestActiveLearnCommand:
         # the fallback count goes to the log, not into the output file
         assert "refit the union in 0 of 2 iterations" in caplog.text
         assert "refits" not in doc
+        # the header records the kernel and encoder settings the loop used
+        assert set(doc["config"]) == {"kernel", "encoder"}
+        assert doc["config"]["kernel"] == KernelConfig().to_dict()
 
     def test_out_of_domain_pool_query_rejected(self, pipeline_dir, tmp_path, capsys):
         root, catalog = pipeline_dir

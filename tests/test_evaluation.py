@@ -8,6 +8,7 @@ import pytest
 from nngp_card import gp
 from nngp_card.evaluation import (
     QErrorStats,
+    _average_ranks,
     active_learn,
     mse_log,
     q_errors,
@@ -118,6 +119,24 @@ class TestSpearman:
 
     def test_small_batch_is_none(self):
         assert spearman(np.arange(9.0), np.arange(9.0)) is None
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.normal(size=40),
+            lambda rng: rng.integers(0, 6, size=40).astype(float),
+            lambda rng: np.r_[rng.integers(0, 4, size=30), [np.inf] * 3, [-np.inf] * 2],
+            lambda rng: np.r_[rng.normal(size=20), np.nan],
+        ],
+        ids=["untied", "tied", "infinite", "nan"],
+    )
+    def test_ranks_equal_scipy_rankdata(self, draw):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = draw(rng)
+            assert _average_ranks(x).tobytes() == rankdata(x).tobytes()
 
     def test_handles_infinities_by_rank(self):
         x = np.array([1.0, 2.0, np.inf] + list(range(3, 10)))

@@ -172,6 +172,29 @@ class TestSerialization:
         with pytest.raises(QueryError, match="line 2"):
             read_queries_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"relations": ["r1"], "selections": [{"range": [0, 1]}]}', "missing key 'attr'"),
+            ('{"selections": []}', "missing key 'relations'"),
+            ('{"relations": "r1"}', "relations must be a list"),
+            ('{"relations": ["r1"], "id": "7"}', "cannot be interpreted as an integer"),
+            ('{"relations": ["r1"], "cardinality": 2.5}', "cannot be interpreted as an integer"),
+            ('{"relations": ["r1"], "joins": [{"pair": "0", "op": "="}]}', "cannot be interpreted as an integer"),
+            ('{"relations": ["r1"], "joins": [{"pair": 0}]}', "missing key 'op'"),
+            ('{"relations": ["r1"], "selections": [{"attr": 3, "in": ["x"]}]}', "must be a string"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.c", "in": "xz"}]}', "IN values must be a list"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": [2, 1]}]}', "lb=2.0 > ub=1.0"),
+            ("[]", "not a JSON object"),
+        ],
+    )
+    def test_bad_record_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"_header": {}}\n{"relations": ["r1"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(QueryError) as info:
+            read_queries_jsonl(path)
+        assert str(info.value).startswith(f"{path}: line 3: ") and message in str(info.value)
+
     def test_selection_without_filter_kind(self):
         with pytest.raises(QueryError, match="neither"):
             query_from_dict({"relations": ["r1"], "selections": [{"attr": "r1.a"}]})

@@ -175,6 +175,10 @@ class TestCatalog:
             register_join_pair(two_relation_catalog, "r1.a", "r2.a")
         with pytest.raises(CatalogError, match="already registered"):
             register_join_pair(two_relation_catalog, "r2.a", "r1.a")
+        relations = two_relation_catalog.relations
+        for pairs in ((("r1.a", "r2.a"),) * 2, (("r1.a", "r2.a"), ("r2.a", "r1.a"))):
+            with pytest.raises(CatalogError, match="already registered"):
+                SchemaCatalog(relations, pairs)
 
     def test_same_relation_pair_rejected(self):
         rel = make_relation("r", numeric=[1.0], categories=["x"])
