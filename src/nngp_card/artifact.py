@@ -1,4 +1,4 @@
-"""The two file formats of the package: one binary, one JSON lines.
+"""The three file formats of the package: binary, JSON lines and JSON documents.
 
 A binary file (a model or an encoded matrix) is one JSON header line with
 sorted keys, then its payloads back to back as little-endian bytes. A payload
@@ -11,6 +11,13 @@ the caller's buffer, without a copy.
 
 A JSON-lines file (queries, labeled workloads, predictions) is a
 `{"_header": ...}` line, then one key-sorted object per record.
+
+A JSON document (the config, synth spec, catalog and schema the user writes,
+and the split, report and active-learning outputs) is one object, written
+key-sorted with an indent of 2 and a trailing newline. A read accepts only
+UTF-8 JSON whose top level is an object, with no repeated key in any object
+and no `NaN` or `Infinity`; `check_fields` checks one object's keys and the
+JSON type of each value.
 """
 
 from __future__ import annotations
@@ -142,3 +149,67 @@ def read_jsonl(path, error: type[Exception], parse: Callable[[dict], object]) ->
             except (error, TypeError, ValueError, AttributeError) as exc:
                 raise error(f"{path}: line {line_no}: {exc}") from None
     return records, header
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path, error: type[Exception]) -> dict:
+    """The top-level object of a JSON document. A file that is not UTF-8, is not
+    JSON (`NaN` and `Infinity` included), has a top level other than an object
+    or repeats a key inside one object raises `error` naming the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys, parse_constant=_reject_constant)
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:  # JSONDecodeError included
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if type(doc) is not dict:
+        raise error(f"{path}: the top level is {_json_type(doc)}, not an object")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    """Write `doc` as one key-sorted JSON document with an indent of 2 and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def check_fields(doc, where, error: type[Exception], required: dict, optional: dict | None = None) -> dict:
+    """`doc`, if it is an object with every key of `required`, no key outside
+    `required` and `optional`, and at each key a value of exactly the type
+    mapped to it (so `true` is no integer). Else raises `error` naming `where`."""
+    types = {**required, **(optional or {})}
+    if type(doc) is not dict:
+        raise error(f"{where}: expected an object, got {_json_type(doc)}")
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{where}: missing key {key!r}")
+    for key, value in doc.items():
+        if type(value) is not types[key]:
+            raise error(f"{where}: {key!r} must be {_JSON_TYPES[types[key]]}, got {_json_type(value)}")
+    return doc

@@ -3,7 +3,13 @@ predict -> evaluate, plus active-learn and selfcheck.
 
 Every subcommand is deterministic given --seed; output files embed the settings
 their command used and the hashes of their inputs, never timestamps (those go
-to the stderr log only). Unknown config sections and keys are rejected.
+to the stderr log only).
+
+Every input and output file goes through `artifact`. The four JSON documents
+a user writes are each checked against one shape where they are parsed: the
+config here (unknown sections and keys are rejected), the synth spec, catalog
+and schema in `relstore`. Any bad input ends as one JSON error line on stderr
+that names its file, and exit status 1.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .relstore import (
     ingest_csv,
     load_catalog_file,
     load_schema,
+    load_spec,
     save_schema,
     synth_relation,
 )
@@ -75,10 +82,7 @@ def _json_line(doc: dict) -> str:
 
 
 def _write_json(path, doc: dict) -> None:
-    """Write `doc` as an indented, key-sorted JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifact.write_json(path, _jsonify(doc))
 
 
 def _jsonify(obj):
@@ -105,27 +109,26 @@ def _jsonify(obj):
 _CONFIG_SECTIONS = {"kernel", "encoder"}
 _ENCODER_KEYS = {"chunk_size", "bitmap_threshold"}
 
-_KERNEL_FLAGS = (
-    ("sigma_w_sq", float),
-    ("sigma_b_sq", float),
-    ("depth", int),
-    ("activation", str),
-    ("noise_sq", float),
-    ("kernel_family", str),
-    ("length_scale", float),
-)
-
 
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The sections of a config file, each checked alone, so that every error names the file."""
+    doc = artifact.read_json(path, CLIError)
     unknown = set(doc) - _CONFIG_SECTIONS
     if unknown:
-        raise CLIError(f"unknown config sections: {sorted(unknown)}")
-    if "encoder" in doc:
-        bad = set(doc["encoder"]) - _ENCODER_KEYS
-        if bad:
-            raise CLIError(f"unknown encoder config keys: {sorted(bad)}")
+        raise CLIError(f"{path}: unknown config sections: {sorted(unknown)}")
+    for name, section in doc.items():
+        if type(section) is not dict:
+            raise CLIError(f"{path}: config section {name!r} must be an object")
+    bad = set(doc.get("encoder", {})) - _ENCODER_KEYS
+    if bad:
+        raise CLIError(f"{path}: unknown encoder config keys: {sorted(bad)}")
+    for key, value in doc.get("encoder", {}).items():
+        if type(value) is not int:
+            raise EncodingError(f"{path}: {key} must be an integer, got {value!r}")
+    try:
+        KernelConfig.from_dict(doc.get("kernel", {}))
+    except KernelError as exc:
+        raise KernelError(f"{path}: {exc}") from None
     return doc
 
 
@@ -135,7 +138,7 @@ def _effective_config(args) -> dict:
     kernel_doc = dict(doc.get("kernel", {}))
     encoder_doc = {"chunk_size": encoder.DEFAULT_CHUNK_SIZE, "bitmap_threshold": encoder.DEFAULT_BITMAP_THRESHOLD}
     encoder_doc.update(doc.get("encoder", {}))
-    for section, names in ((kernel_doc, [name for name, _ in _KERNEL_FLAGS]), (encoder_doc, _ENCODER_KEYS)):
+    for section, names in ((kernel_doc, KernelConfig.__dataclass_fields__), (encoder_doc, _ENCODER_KEYS)):
         for name in names:
             if getattr(args, name, None) is not None:
                 section[name] = getattr(args, name)
@@ -159,28 +162,22 @@ def _header(args, command: str, config: dict | None = None, inputs: dict | None 
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if "relations" not in spec:
-        spec = {"relations": [spec], "join_pairs": spec.get("join_pairs", [])}
+    relations, join_pairs = load_spec(args.spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
-    for i, rel_spec in enumerate(spec["relations"]):
-        name = rel_spec.get("name", f"rel{i}")
-        seed = rel_spec.get("seed", args.seed + i)
+    for i, (name, rows, columns) in enumerate(relations):
         try:
-            rows, columns = int(rel_spec["rows"]), rel_spec["columns"]
-        except KeyError as exc:
-            raise IngestError(f"{args.spec}: relation {i} lacks key {exc}") from None
-        relation = synth_relation(seed, rows, columns, name=name)
+            relation = synth_relation(args.seed + i, rows, columns, name=name)
+        except RelStoreError as exc:
+            raise IngestError(f"{args.spec}: relation {i}: {exc}") from None
         export_csv(relation, out_dir / f"{name}.csv")
         save_schema(relation, out_dir / f"{name}.schema.json")
         entries.append({"name": name, "csv": f"{name}.csv", "schema": f"{name}.schema.json"})
         log.info("synthesized %s: %d rows, %d columns", name, relation.n_rows, len(relation.attrs))
 
-    catalog_doc = {"relations": entries, "join_pairs": spec.get("join_pairs", [])}
+    catalog_doc = {"relations": entries, "join_pairs": join_pairs}
     catalog_path = out_dir / "catalog.json"
     _write_json(catalog_path, catalog_doc)
     load_catalog_file(catalog_path)  # validates join pairs against the data

@@ -17,6 +17,7 @@ file, whose header and every payload are hash-verified on load.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,6 +103,9 @@ def build_layout(
     factorized bitmap of ceil(m / chunk_size) slots, each packing
     `chunk_size` bits (MSB first) into one integer.
     """
+    for name, value in (("chunk_size", chunk_size), ("bitmap_threshold", bitmap_threshold)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise EncodingError(f"{name} must be an integer, got {value!r}")
     if chunk_size < 1:
         raise EncodingError(f"chunk_size must be >= 1, got {chunk_size}")
     segments = []

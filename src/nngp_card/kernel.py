@@ -35,6 +35,7 @@ its cross-batch matrices carry none.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -64,6 +65,16 @@ class KernelConfig:
     length_scale: float = 1.0
 
     def __post_init__(self):
+        # checked, not coerced: a model header records the values as given
+        for name in ("sigma_w_sq", "sigma_b_sq", "noise_sq", "length_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise KernelError(f"{name} must be a finite number, got {value!r}")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral):
+            raise KernelError(f"depth must be an integer, got {self.depth!r}")
+        for name in ("activation", "kernel_family"):
+            if not isinstance(getattr(self, name), str):
+                raise KernelError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.sigma_w_sq <= 0:
             raise KernelError(f"sigma_w_sq must be > 0, got {self.sigma_w_sq}")
         if self.sigma_b_sq < 0:

@@ -2,6 +2,10 @@
 
 Relations are immutable once built (their column arrays are marked
 read-only), so they can be shared freely across worker threads.
+
+The schema, catalog and synth-spec documents are read through
+`artifact.read_json`; each loader checks its document's one shape and raises
+this module's typed error naming the file.
 """
 
 from __future__ import annotations
@@ -9,12 +13,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
+
+from . import artifact
 
 
 class RelStoreError(Exception):
@@ -375,11 +383,17 @@ def ingest_csv(path, schema: Mapping[str, str], name: str | None = None) -> Rela
             ctype: ColumnType = NumericalType(float(arr.min()), float(arr.max()))
             columns.append((col, ctype, arr))
         else:
-            domain = tuple(sorted(set(raw[col])))
-            ctype = CategoricalType(domain)
-            codes = np.asarray([domain.index(v) for v in raw[col]], dtype=np.int32)
-            columns.append((col, ctype, codes))
+            columns.append((col, *_categorical_column(raw[col])))
     return Relation(name or path.stem, columns)
+
+
+def _categorical_column(values: Sequence[str]) -> tuple[CategoricalType, np.ndarray]:
+    """The sorted distinct `values` as a domain, and each value's int32 code in it."""
+    # numpy's fixed-width strings drop trailing NULs, which would merge "a" and "a\0";
+    # Python objects keep them and sort the same, at twice the time
+    dtype = object if "\0" in "".join(values) else None
+    domain, codes = np.unique(np.asarray(values, dtype=dtype), return_inverse=True)
+    return CategoricalType(tuple(domain.tolist())), codes.astype(np.int32)
 
 
 def export_csv(relation: Relation, path) -> None:
@@ -401,17 +415,26 @@ def export_csv(relation: Relation, path) -> None:
 
 def save_schema(relation: Relation, path) -> None:
     schema = {attr: relation.type_of(attr).kind for attr in relation.attrs}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"relation": relation.name, "columns": schema}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifact.write_json(path, {"relation": relation.name, "columns": schema})
 
 
 def load_schema(path) -> tuple[str, dict[str, str]]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "columns" not in doc:
-        raise IngestError(f"{path}: schema file lacks a 'columns' map")
-    return doc.get("relation", ""), dict(doc["columns"])
+    """The relation name ("" if none) and the column kinds of a schema file:
+    {"relation": optional name, "columns": {column: "numerical" | "categorical"}}."""
+    doc = artifact.check_fields(
+        artifact.read_json(path, IngestError), path, IngestError, {"columns": dict}, {"relation": str}
+    )
+    for col, kind in doc["columns"].items():
+        if kind not in _KINDS:
+            raise IngestError(f"{path}: column {col!r}: unknown kind {kind!r}")
+    return doc.get("relation", ""), doc["columns"]
+
+
+def _join_pairs(pairs: list, where, error: type[Exception]) -> list[list[str]]:
+    for i, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2 or not all(type(ref) is str for ref in pair):
+            raise error(f"{where}: join pair {i} must be an array of two strings, got {pair!r}")
+    return pairs
 
 
 def load_catalog_file(path) -> SchemaCatalog:
@@ -422,22 +445,53 @@ def load_catalog_file(path) -> SchemaCatalog:
     resolved relative to the catalog file.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = artifact.check_fields(
+        artifact.read_json(path, CatalogError), path, CatalogError, {"relations": list}, {"join_pairs": list}
+    )
+    join_pairs = _join_pairs(doc.get("join_pairs", []), path, CatalogError)
     relations = []
-    for i, entry in enumerate(doc.get("relations", [])):
-        try:
-            name, csv_path, schema_path = entry["name"], entry["csv"], entry["schema"]
-        except KeyError as exc:
-            raise CatalogError(f"{path}: relation entry {i} lacks key {exc}") from None
-        _, schema = load_schema(path.parent / schema_path)
-        relations.append(ingest_csv(path.parent / csv_path, schema, name=name))
-    return SchemaCatalog(tuple(relations), tuple(map(tuple, doc.get("join_pairs", []))))
+    for i, entry in enumerate(doc["relations"]):
+        artifact.check_fields(
+            entry, f"{path}: relation entry {i}", CatalogError, {"name": str, "csv": str, "schema": str}
+        )
+        _, schema = load_schema(path.parent / entry["schema"])
+        relations.append(ingest_csv(path.parent / entry["csv"], schema, name=entry["name"]))
+    return SchemaCatalog(tuple(relations), tuple(map(tuple, join_pairs)))
+
+
+def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
+    """The relations, as (name, rows, column specs), and the join pairs of a synth spec.
+
+    Layout: {"relations": [{"name", "rows", "columns"}...],
+             "join_pairs": [["R1.A", "R2.A"], ...]}; a relation without a
+    name is called rel<i>. `synth_relation` checks the column specs.
+    """
+    doc = artifact.check_fields(
+        artifact.read_json(path, IngestError), path, IngestError, {"relations": list}, {"join_pairs": list}
+    )
+    relations = []
+    for i, rel in enumerate(doc["relations"]):
+        artifact.check_fields(
+            rel, f"{path}: relation {i}", IngestError, {"rows": int, "columns": list}, {"name": str}
+        )
+        relations.append((rel.get("name", f"rel{i}"), rel["rows"], rel["columns"]))
+    return relations, _join_pairs(doc.get("join_pairs", []), path, IngestError)
 
 
 # ---------------------------------------------------------------------------
 # Synthetic relations
 # ---------------------------------------------------------------------------
+
+
+# The keys each generator kind reads besides "name" and "kind".
+_GENERATOR_KEYS = {
+    "uniform": {"lo", "hi"},
+    "uniform_int": {"lo", "hi"},
+    "mixture": {"components"},
+    "correlated": {"source", "rho", "mean", "std"},
+    "categorical": {"values", "weights"},
+}
+_COMPONENT_KEYS = {"weight", "mean", "std"}
 
 
 def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str = "synth") -> Relation:
@@ -452,10 +506,11 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
       previously declared numerical column (Pearson rho on the latent scale)
     - ``categorical``: {"values": [...], "weights": optional}
 
-    The same seed always reproduces the same relation, byte for byte.
+    Numbers must be finite reals and lists lists; a key the kind does not read
+    is an error. The same seed always reproduces the same relation, byte for byte.
     """
-    if n_rows < 1:
-        raise IngestError(f"n_rows must be >= 1, got {n_rows}")
+    if isinstance(n_rows, bool) or not isinstance(n_rows, numbers.Integral) or n_rows < 1:
+        raise IngestError(f"n_rows must be an integer >= 1, got {n_rows!r}")
     if not columns:
         raise IngestError("at least one column spec is required")
 
@@ -464,10 +519,19 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
     numeric_cols: dict[str, np.ndarray] = {}
 
     for spec in columns:
+        if not isinstance(spec, Mapping):
+            raise IngestError(f"column spec must be an object, got {spec!r}")
         col = spec.get("name")
         kind = spec.get("kind")
         if not col:
             raise IngestError("column spec missing 'name'")
+        if not isinstance(col, str):
+            raise IngestError(f"column name must be a string, got {col!r}")
+        if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
+            raise IngestError(f"column {col!r}: unknown generator kind {kind!r}")
+        unknown = sorted(set(spec) - {"name", "kind"} - _GENERATOR_KEYS[kind])
+        if unknown:
+            raise IngestError(f"column {col!r}: unknown keys {unknown} for kind {kind!r}")
         if kind == "uniform":
             lo, hi = _spec_floats(spec, col, "lo", "hi")
             if lo >= hi:
@@ -480,10 +544,13 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
                 raise IngestError(f"column {col!r}: uniform_int needs lo <= hi")
             vals = rng.integers(int(lo), int(hi) + 1, size=n_rows).astype(np.float64)
         elif kind == "mixture":
-            comps = spec.get("components")
+            comps = _spec_list(spec, col, "components")
             if not comps:
                 raise IngestError(f"column {col!r}: mixture needs components")
-            weights = np.asarray([c.get("weight", 1.0) for c in comps], dtype=np.float64)
+            for c in comps:
+                if not isinstance(c, Mapping) or not set(c) <= _COMPONENT_KEYS:
+                    raise IngestError(f"column {col!r}: a mixture component holds weight, mean and std, got {c!r}")
+            weights = np.asarray([_spec_floats({"weight": 1.0, **c}, col, "weight")[0] for c in comps])
             if (weights <= 0).any():
                 raise IngestError(f"column {col!r}: mixture weights must be positive")
             weights = weights / weights.sum()
@@ -495,7 +562,7 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             vals = rng.normal(means[which], stds[which])
         elif kind == "correlated":
             source = spec.get("source")
-            if source not in numeric_cols:
+            if not isinstance(source, str) or source not in numeric_cols:
                 raise IngestError(
                     f"column {col!r}: correlated source {source!r} must be a "
                     "previously declared numerical column"
@@ -503,8 +570,7 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             rho = _spec_floats(spec, col, "rho")[0]
             if not -1.0 <= rho <= 1.0:
                 raise IngestError(f"column {col!r}: rho must lie in [-1, 1]")
-            mean = float(spec.get("mean", 0.0))
-            std = float(spec.get("std", 1.0))
+            mean, std = _spec_floats({"mean": 0.0, "std": 1.0, **spec}, col, "mean", "std")
             if std <= 0:
                 raise IngestError(f"column {col!r}: std must be positive")
             src = numeric_cols[source]
@@ -512,25 +578,20 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             z = (src - src.mean()) / src_std if src_std > 0 else np.zeros_like(src)
             latent = rho * z + np.sqrt(1.0 - rho * rho) * rng.standard_normal(n_rows)
             vals = mean + std * latent
-        elif kind == "categorical":
-            values = spec.get("values")
+        else:  # categorical
+            values = _spec_list(spec, col, "values")
             if not values:
                 raise IngestError(f"column {col!r}: categorical needs values")
-            weights = spec.get("weights")
             p = None
-            if weights is not None:
-                p = np.asarray(weights, dtype=np.float64)
+            if "weights" in spec:
+                p = np.asarray([_spec_real(w, col, "weights") for w in _spec_list(spec, col, "weights")])
                 if len(p) != len(values) or (p <= 0).any():
                     raise IngestError(f"column {col!r}: bad categorical weights")
                 p = p / p.sum()
             picks = rng.choice(len(values), p=p, size=n_rows)
-            observed = [str(values[i]) for i in picks]
-            domain = tuple(sorted(set(observed)))
-            codes = np.asarray([domain.index(v) for v in observed], dtype=np.int32)
-            built.append((col, CategoricalType(domain), codes))
+            labels = [str(v) for v in values]
+            built.append((col, *_categorical_column([labels[i] for i in picks])))
             continue
-        else:
-            raise IngestError(f"column {col!r}: unknown generator kind {kind!r}")
 
         vals = np.asarray(vals, dtype=np.float64)
         numeric_cols[col] = vals
@@ -540,9 +601,23 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
 
 
 def _spec_floats(spec: Mapping, col: str, *keys: str) -> list[float]:
+    """The values of `keys` in a column spec, each a finite real number."""
     out = []
     for key in keys:
         if key not in spec:
             raise IngestError(f"column {col!r}: spec missing {key!r}")
-        out.append(float(spec[key]))
+        out.append(_spec_real(spec[key], col, key))
     return out
+
+
+def _spec_real(value, col: str, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise IngestError(f"column {col!r}: {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _spec_list(spec: Mapping, col: str, key: str) -> Sequence:
+    value = spec.get(key)
+    if not isinstance(value, (list, tuple)):
+        raise IngestError(f"column {col!r}: {key!r} must be a list, got {value!r}")
+    return value

@@ -1,5 +1,6 @@
 """File formats: model and encoded-matrix files share one verifying binary
-codec; query, workload and prediction files share one JSON-lines codec."""
+codec; query, workload and prediction files share one JSON-lines codec; the
+JSON documents share one reader and one writer."""
 
 import json
 
@@ -245,3 +246,53 @@ class TestJsonl:
         path.write_text('{"a": 1}\n', encoding="utf-8")
         with pytest.raises(JsonlError, match=r"x\.jsonl: line 1: bad record"):
             artifact.read_jsonl(path, JsonlError, parse)
+
+
+class TestJsonDocument:
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "x.json"
+        artifact.write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": "é"}})
+        assert path.read_bytes() == (
+            b'{\n  "a": {\n    "c": "\\u00e9",\n    "d": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        )
+        assert artifact.read_json(path, JsonlError) == {"a": {"c": "é", "d": None}, "b": [1, 2.5]}
+
+    def test_non_finite_float_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            artifact.write_json(tmp_path / "x.json", {"a": float("inf")})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"a": \xff}', "not UTF-8"),
+            (b'{"a": 1,}', "invalid JSON"),
+            (b"", "invalid JSON"),
+            (b'{"a": NaN}', "NaN is not a JSON number"),
+            (b'{"a": [-Infinity]}', "-Infinity is not a JSON number"),
+            (b'{"a": {"b": 1, "b": 2}}', "repeated key 'b'"),
+            (b"[1, 2]", "top level is an array"),
+            (b'"text"', "top level is a string"),
+        ],
+    )
+    def test_bad_document_names_path(self, tmp_path, data, message):
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        with pytest.raises(JsonlError) as info:
+            artifact.read_json(path, JsonlError)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "expected an object, got an array"),
+            ({"n": 1, "extra": 2, "more": 3}, "unknown keys ['extra', 'more']"),
+            ({"name": "r"}, "missing key 'n'"),
+            ({"n": True}, "'n' must be an integer, got a boolean"),
+            ({"n": 1, "name": None}, "'name' must be a string, got null"),
+        ],
+    )
+    def test_check_fields(self, doc, message):
+        with pytest.raises(JsonlError, match="^where: ") as info:
+            artifact.check_fields(doc, "where", JsonlError, {"n": int}, {"name": str})
+        assert message in str(info.value)
+        assert artifact.check_fields({"n": 2}, "where", JsonlError, {"n": int}, {"name": str}) == {"n": 2}

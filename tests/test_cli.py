@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: golden path, determinism, guards, selfcheck."""
 
+import dataclasses
 import json
 import logging
 import subprocess
@@ -203,7 +204,8 @@ class TestDeterminism:
         b.mkdir()
         self._run_pipeline(a)
         self._run_pipeline(b)
-        names = ("data/emp.csv", "q.jsonl", "labeled.jsonl", "enc.bin", "model.bin", "pred.jsonl", "report.json")
+        names = ("data/emp.csv", "data/catalog.json", "data/emp.schema.json", "data/grp.schema.json",
+                 "q.jsonl", "labeled.jsonl", "enc.bin", "model.bin", "pred.jsonl", "report.json")
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -427,7 +429,131 @@ class TestGuards:
 
     def test_kernel_flags_cover_config_fields(self):
         # a KernelConfig field without a flag is a knob no CLI user can set
-        assert {name for name, _ in cli._KERNEL_FLAGS} == set(KernelConfig.__dataclass_fields__)
+        fields = dataclasses.fields(KernelConfig)
+        flags = [arg for f in fields for arg in (f"--{f.name.replace('_', '-')}", str(f.default))]
+        commands = [
+            ["train", "--encoded", "e.bin", "--model", "m.bin"],
+            ["active-learn", "--catalog", "c.json", "--train", "t", "--pool", "p", "--test", "s", "--out", "o"],
+        ]
+        for command in commands:
+            args = cli.build_parser().parse_args(command + flags)
+            assert {f.name: getattr(args, f.name) for f in fields} == KernelConfig().to_dict(), command[0]
+
+
+def fails_naming(capsys, path, argv, error) -> None:
+    """`argv` exits 1 with one JSON error line of type `error` that names `path`."""
+    assert cli.main([str(a) for a in argv]) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert doc["error"] == error and str(path) in doc["message"], doc
+
+
+COLUMN = '{"name": "x", "kind": "uniform", "lo": 0, "hi": 1}'
+
+
+class TestInputDocuments:
+    """Each JSON document a user writes fails with one typed error line naming it."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param('{"kernel": {"depth": 2,}}', "usage", id="bad-json"),
+            pytest.param('[{"kernel": {}}]', "usage", id="non-object"),
+            pytest.param('{"kernel": {"depth": 2, "depth": 3}}', "usage", id="repeated-key"),
+            pytest.param('{"kernel": {}, "kernle": {}}', "usage", id="unknown-section"),
+            pytest.param('{"kernel": {"depht": 2}}', "KernelError", id="unknown-key"),
+            pytest.param('{"kernel": [1]}', "usage", id="wrong-type-section"),
+            pytest.param('{"kernel": {"depth": 2.5}}', "KernelError", id="wrong-type-depth"),
+            pytest.param('{"kernel": {"depth": true}}', "KernelError", id="wrong-type-bool-depth"),
+            pytest.param('{"kernel": {"noise_sq": null}}', "KernelError", id="wrong-type-null"),
+            pytest.param('{"encoder": {"chunk_size": "8"}}', "EncodingError", id="wrong-type-encoder"),
+        ],
+    )
+    def test_config(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        argv = ["train", "--encoded", tmp_path / "enc.bin", "--model", tmp_path / "m.bin", "--config", cfg]
+        fails_naming(capsys, cfg, argv, error)
+
+    def test_nan_noise_is_rejected(self, pipeline_dir, tmp_path, capsys):
+        # NaN noise once trained and then predicted null for every query
+        root, _ = pipeline_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kernel": {"noise_sq": NaN}}', encoding="utf-8")
+        argv = ["train", "--encoded", root / "enc.train.bin", "--model", tmp_path / "m.bin"]
+        fails_naming(capsys, cfg, argv + ["--config", cfg], "usage")
+        assert cli.main([str(a) for a in argv + ["--noise-sq", "nan"]]) == 1
+        assert "noise_sq must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"relations": [}', id="bad-json"),
+            pytest.param(f'[{{"name": "r", "rows": 5, "columns": [{COLUMN}]}}]', id="non-object"),
+            pytest.param(f'{{"relations": [{{"name": "r", "rows": 5, "rows": 6, "columns": [{COLUMN}]}}]}}',
+                         id="repeated-key"),
+            pytest.param('{"relations": [], "joinpairs": []}', id="unknown-key"),
+            pytest.param(f'{{"relations": [{{"name": "r", "rows": 5, "seed": 1, "columns": [{COLUMN}]}}]}}',
+                         id="unknown-key-seed"),
+            pytest.param(f'{{"name": "r", "rows": 5, "columns": [{COLUMN}]}}', id="bare-relation"),
+            pytest.param(f'{{"relations": [{{"name": "r", "rows": 1.5, "columns": [{COLUMN}]}}]}}',
+                         id="wrong-type-rows"),
+            pytest.param(f'{{"relations": [{{"name": "r", "rows": 0, "columns": [{COLUMN}]}}]}}', id="zero-rows"),
+            pytest.param('{"relations": [["emp"]]}', id="wrong-type-relation"),
+            pytest.param('{"relations": [{"rows": 5, "columns": [{"name": "x", "kind": "uniform", "lo": null, '
+                         '"hi": 1}]}]}', id="wrong-type-lo"),
+            pytest.param('{"relations": [{"rows": 5, "columns": [{"name": "x", "kind": "mixture", '
+                         '"components": 5}]}]}', id="wrong-type-components"),
+            pytest.param('{"relations": [{"rows": 5, "columns": [{"name": "x", "kind": "categorical", '
+                         '"values": "abc"}]}]}', id="wrong-type-values"),
+            pytest.param(f'{{"relations": [{{"rows": 5, "columns": [{COLUMN}]}}], "join_pairs": [["r.x", 1]]}}',
+                         id="wrong-type-join-pair"),
+        ],
+    )
+    def test_spec(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d"], "IngestError")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"relations": [}', id="bad-json"),
+            pytest.param('[{"name": "r", "csv": "r.csv", "schema": "r.schema.json"}]', id="non-object"),
+            pytest.param('{"relations": [], "join_pairs": [], "join_pairs": []}', id="repeated-key"),
+            pytest.param('{"relations": [], "joinpairs": []}', id="unknown-key"),
+            pytest.param('{"relations": [{"name": "r", "csv": "r.csv", "schema": "s", "rows": 5}]}',
+                         id="unknown-entry-key"),
+            pytest.param('{"relations": {}}', id="wrong-type-relations"),
+            pytest.param('{"relations": [{"name": "r", "csv": 5, "schema": "s"}]}', id="wrong-type-csv"),
+            pytest.param('{"relations": [], "join_pairs": [["r.a", 5]]}', id="wrong-type-join-pair"),
+        ],
+    )
+    def test_catalog(self, tmp_path, capsys, text):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(text, encoding="utf-8")
+        argv = ["gen-queries", "--catalog", catalog, "--mode", "join", "--n", 5, "--out", tmp_path / "q.jsonl"]
+        fails_naming(capsys, catalog, argv, "CatalogError")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"columns": {"a": "numerical",}}', id="bad-json"),
+            pytest.param('["a"]', id="non-object"),
+            pytest.param('{"columns": {"a": "numerical", "a": "categorical"}}', id="repeated-key"),
+            pytest.param('{"columns": {}, "relaton": "r"}', id="unknown-key"),
+            pytest.param('{"columns": {"a": 5}}', id="wrong-type-kind"),
+            pytest.param('{"columns": ["a"]}', id="wrong-type-columns"),
+            pytest.param('{"relation": 5, "columns": {}}', id="wrong-type-relation"),
+        ],
+    )
+    def test_schema(self, tmp_path, capsys, text):
+        schema = tmp_path / "s.schema.json"
+        schema.write_text(text, encoding="utf-8")
+        (tmp_path / "s.csv").write_text("a\n1\n", encoding="utf-8")
+        fails_naming(capsys, schema, ["ingest", "--csv", tmp_path / "s.csv", "--schema", schema], "IngestError")
 
 
 class TestActiveLearnCommand:

@@ -86,6 +86,13 @@ class TestLayout:
         with pytest.raises(EncodingError):
             build_layout(SchemaCatalog((rel,)), chunk_size=0)
 
+    @pytest.mark.parametrize("name", ["chunk_size", "bitmap_threshold"])
+    @pytest.mark.parametrize("value", [2.5, "8", True, None])
+    def test_non_integer_settings_rejected(self, name, value):
+        rel = make_relation("r", numeric=[0.0, 1.0])
+        with pytest.raises(EncodingError, match=f"{name} must be an integer"):
+            build_layout(SchemaCatalog((rel,)), **{name: value})
+
 
 class TestRangeEncoding:
     @pytest.fixture

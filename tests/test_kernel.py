@@ -39,6 +39,16 @@ class TestConfig:
             {"activation": "tanh"},
             {"kernel_family": "matern"},
             {"length_scale": 0.0},
+            {"noise_sq": float("nan")},
+            {"sigma_w_sq": float("inf")},
+            {"sigma_b_sq": None},
+            {"noise_sq": "0.1"},
+            {"length_scale": True},
+            {"depth": 2.5},
+            {"depth": True},
+            {"depth": "3"},
+            {"activation": 1},
+            {"kernel_family": None},
         ],
     )
     def test_invalid(self, kwargs):

@@ -34,6 +34,14 @@ class TestIngest:
         rel = ingest_csv(p, {"x": "numerical"})
         assert rel.type_of("x") == NumericalType(2.0, 9.0)
 
+    @pytest.mark.parametrize("cells", [["b", "é", "a", "b", "Z", "a b"], ["b", "a\0", "a", "a\0", "é"]])
+    def test_categorical_codes_index_the_sorted_domain(self, tmp_path, cells):
+        # "a" and "a\0" stay two values: fixed-width numpy strings would merge them
+        rel = ingest_csv(write_csv(tmp_path / "r.csv", "c\n" + "\n".join(cells) + "\n"), {"c": "categorical"})
+        domain = tuple(sorted(set(cells)))
+        assert rel.type_of("c").values == domain
+        assert rel.column("c").tolist() == [domain.index(v) for v in cells]
+
     def test_categorical_domain_distinct_sorted(self, tmp_path):
         p = write_csv(tmp_path / "r.csv", "c\na\nb\na\n")
         rel = ingest_csv(p, {"c": "categorical"})
@@ -231,6 +239,11 @@ class TestSynth:
         for attr in r1.attrs:
             assert r1.column(attr).tobytes() == r2.column(attr).tobytes()
 
+    @pytest.mark.parametrize("n_rows", [1.5, True, "5"])
+    def test_non_integer_rows_rejected(self, n_rows):
+        with pytest.raises(IngestError, match="n_rows must be an integer"):
+            synth_relation(0, n_rows, self.UNIFORM2)
+
     def test_zero_rows_rejected(self):
         with pytest.raises(IngestError, match=">= 1"):
             synth_relation(7, 0, self.UNIFORM2)
@@ -277,6 +290,27 @@ class TestSynth:
             ),
             ([{"name": "x", "kind": "mixture", "components": [
                 {"weight": 1, "mean": 0, "std": 0}]}], "stds"),
+            ([{"name": "x", "kind": "uniform", "lo": None, "hi": 1}], "'x': lo must be a finite number"),
+            ([{"name": "x", "kind": "uniform", "lo": True, "hi": 2}], "'x': lo must be a finite number"),
+            ([{"name": "x", "kind": "uniform", "lo": "0", "hi": 1}], "'x': lo must be a finite number"),
+            ([{"name": "x", "kind": "uniform", "lo": 0, "hi": float("inf")}], "'x': hi must be a finite number"),
+            ([{"name": "x", "kind": "uniform_int", "lo": 0, "hi": None}], "'x': hi must be a finite number"),
+            ([{"name": "x", "kind": "mixture", "components": 5}], "'x': 'components' must be a list"),
+            ([{"name": "x", "kind": "mixture", "components": [5]}], "'x': a mixture component"),
+            ([{"name": "x", "kind": "mixture", "components": [
+                {"weight": 1, "mean": "0", "std": 1}]}], "'x': mean must be a finite number"),
+            ([{"name": "x", "kind": "mixture", "components": [
+                {"mean": 0, "std": 1, "sd": 1}]}], "'x': a mixture component"),
+            ([{"name": "x", "kind": "categorical", "values": "abc"}], "'x': 'values' must be a list"),
+            ([{"name": "x", "kind": "categorical", "values": ["a"], "weights": "1"}], "'x': 'weights' must be a list"),
+            ([{"name": "x", "kind": "categorical", "values": ["a"], "weights": [None]}],
+             "'x': weights must be a finite number"),
+            ([{"name": "a", "kind": "uniform", "lo": 0, "hi": 1},
+              {"name": "x", "kind": "correlated", "source": "a", "rho": 0.5, "std": None}],
+             "'x': std must be a finite number"),
+            ([{"name": "x", "kind": "uniform", "lo": 0, "hi": 1, "weights": [1]}], "'x': unknown keys \\['weights'\\]"),
+            ([{"name": 5, "kind": "uniform", "lo": 0, "hi": 1}], "column name must be a string"),
+            (["x"], "column spec must be an object"),
         ],
     )
     def test_invalid_specs(self, spec, match):
