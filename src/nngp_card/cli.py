@@ -122,9 +122,11 @@ def _load_config_file(path) -> dict:
     bad = set(doc.get("encoder", {})) - _ENCODER_KEYS
     if bad:
         raise CLIError(f"{path}: unknown encoder config keys: {sorted(bad)}")
-    for key, value in doc.get("encoder", {}).items():
-        if type(value) is not int:
-            raise EncodingError(f"{path}: {key} must be an integer, got {value!r}")
+    try:
+        for key, value in doc.get("encoder", {}).items():
+            encoder.check_layout_setting(key, value)
+    except EncodingError as exc:
+        raise EncodingError(f"{path}: {exc}") from None
     try:
         KernelConfig.from_dict(doc.get("kernel", {}))
     except KernelError as exc:

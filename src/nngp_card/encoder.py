@@ -91,6 +91,15 @@ class EncodingLayout:
         return stable_hash(doc)
 
 
+def check_layout_setting(name: str, value) -> None:
+    """Raise EncodingError unless `value` is a valid `build_layout` setting:
+    an integer, and for chunk_size at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise EncodingError(f"{name} must be an integer, got {value!r}")
+    if name == "chunk_size" and value < 1:
+        raise EncodingError(f"chunk_size must be >= 1, got {value}")
+
+
 def build_layout(
     catalog: SchemaCatalog,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -103,11 +112,8 @@ def build_layout(
     factorized bitmap of ceil(m / chunk_size) slots, each packing
     `chunk_size` bits (MSB first) into one integer.
     """
-    for name, value in (("chunk_size", chunk_size), ("bitmap_threshold", bitmap_threshold)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise EncodingError(f"{name} must be an integer, got {value!r}")
-    if chunk_size < 1:
-        raise EncodingError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_layout_setting("chunk_size", chunk_size)
+    check_layout_setting("bitmap_threshold", bitmap_threshold)
     segments = []
     offset = 0
     for rel in catalog.relations:

@@ -212,13 +212,6 @@ class ALResult:
     refits: int
 
 
-# Columns per piece when a whitened block is built or compacted: the block
-# is filled piece by piece, so no second block-sized array is ever held. On
-# a 2-core Xeon with one BLAS thread and n = 2000, 3000 columns solved in
-# 0.34 s as 512-column pieces (8 MiB each) and in 0.45 s as 65-column ones.
-_WHITEN_COLS = 512
-
-
 class _Whitened:
     """V = L^-1 K(train, X) for a fixed query batch X, grown with the model.
 
@@ -226,6 +219,8 @@ class _Whitened:
     and the latent variance prior - colsum(V^2). V sits in the leading rows
     and columns of one Fortran-order buffer sized for the largest training
     set it will see, so appending rows and dropping columns never copies it.
+    The block is built and compacted in pieces of `gp._WHITEN_COLS` columns,
+    so no second block-sized array is ever held.
     """
 
     def __init__(self, X: np.ndarray, rows: int, estimator: CardinalityEstimator):
@@ -242,8 +237,8 @@ class _Whitened:
     def rebuild(self, estimator: CardinalityEstimator) -> None:
         """Whiten every column against the estimator's factor."""
         self.n = estimator.n_train
-        for lo in range(0, len(self.cols), _WHITEN_COLS):
-            part = self.cols[lo : lo + _WHITEN_COLS]
+        for lo in range(0, len(self.cols), gp._WHITEN_COLS):
+            part = self.cols[lo : lo + gp._WHITEN_COLS]
             self.buf[: self.n, lo : lo + len(part)] = gp._whiten(estimator, self.X[part])[1]
 
     def grow(self, estimator: CardinalityEstimator) -> None:
@@ -264,14 +259,14 @@ class _Whitened:
         keep = np.delete(np.arange(len(self.cols)), positions)
         # kept column j comes from column keep[j] >= j, so moving pieces in
         # ascending order never overwrites a column before it is read
-        for lo in range(0, len(keep), _WHITEN_COLS):
-            part = keep[lo : lo + _WHITEN_COLS]
+        for lo in range(0, len(keep), gp._WHITEN_COLS):
+            part = keep[lo : lo + gp._WHITEN_COLS]
             self.buf[: self.n, lo : lo + len(part)] = self.buf[: self.n, part]
         self.cols, self.prior = self.cols[keep], self.prior[keep]
 
     def predict(self, w: np.ndarray) -> Prediction:
         V = self.V
-        return gp._summarize(V.T @ w, self.prior, V, delta=0.95)
+        return gp._summarize(V.T @ w, self.prior, np.einsum("ij,ij->j", V, V), delta=0.95)
 
 
 def active_learn(

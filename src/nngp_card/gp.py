@@ -5,9 +5,13 @@ Training factorizes the train-train covariance K + noise*I, which
 the regressor adds to it is the jitter of a failed factorization. Prediction
 is then a linear smoother over the training targets plus a triangular solve
 for the predictive variance.
-The factorization runs in place, so the factor occupies the kernel's own
-n x n buffer and a fit holds one n x n matrix at a time. A jitter rung that
-fails has consumed that buffer, so the next rung rebuilds the kernel.
+The fit builds only the upper triangle of the kernel, the half LAPACK reads,
+and factors it in place, so the factor occupies the kernel's own n x n
+buffer, a fit holds one n x n matrix at a time, and the factor's strict
+upper triangle is exactly zero. A jitter rung that fails has consumed that
+buffer; it is released before the next rung rebuilds the kernel.
+Prediction whitens the queries in pieces of `_WHITEN_COLS` columns, so its
+working set is one n x `_WHITEN_COLS` block, whatever the batch size.
 `extend` grows a fitted model by new training rows with an exact
 block-Cholesky append instead of a refit. `save` and `load` keep the trained
 state in an `artifact` file, whose header and every payload are hash-verified
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cholesky, solve_triangular
 from scipy.special import ndtri
 
 from . import artifact
@@ -31,6 +35,12 @@ from .kernel import KernelConfig, KernelError, kernel_diag, kernel_matrix, row_b
 # The first attempt adds nothing: a numerically PD kernel keeps the exact
 # interpolation identity, which any jitter would spoil in proportion.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+
+# Query columns per whitened piece, in `predict` and in the active-learning
+# blocks: one piece is n x 512 doubles (8 MiB at n = 2000). On a 2-core Xeon
+# with one BLAS thread and n = 2000, 3000 columns solved in 0.34 s as
+# 512-column pieces and in 0.45 s as 65-column ones.
+_WHITEN_COLS = 512
 
 MODEL_FORMAT = "nngp-card-model"
 MODEL_VERSION = 4
@@ -49,7 +59,8 @@ class CardinalityEstimator:
     """Immutable trained state; safe for concurrent predict calls.
 
     `chol` is the lower factor of K + noise*I (+ jitter), in Fortran order
-    and in the memory the kernel was built in; `alpha` solves
+    and in the memory the kernel was built in, with a zero strict upper
+    triangle; `alpha` solves
     (K + noise*I) alpha = y_log. `file_hash` is the verified header hash of
     the model file the state was loaded from, empty for a fitted state.
     """
@@ -103,21 +114,24 @@ def fit(
     unfactorized kernel) is raised. O(N^3), computed once; deterministic.
     """
     X_train, y_log = _training_data(X_train, y_log)
-    K = kernel_matrix(X_train, None, config)  # noise included on the diagonal
+    # noise included on the diagonal; the strict lower triangle is zero
+    K = kernel_matrix(X_train, None, config, triangle=True)
     mean_diag = float(np.mean(np.diagonal(K)))
-    last_error = None
-    for rung, rel in enumerate(JITTER_LADDER):
-        if rung:  # the failed factorization consumed the buffer
-            K = kernel_matrix(X_train, None, config)
+    last_error = ""
+    for rel in JITTER_LADDER:
+        if K is None:  # the failed factorization consumed the buffer
+            K = kernel_matrix(X_train, None, config, triangle=True)
         jitter = rel * mean_diag
         if jitter:
             K[np.diag_indices_from(K)] += jitter
         try:
-            # K is symmetric, so K.T is the same matrix in Fortran order and
-            # LAPACK factors it in place: the factor takes the kernel's memory.
-            L = cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
+            # K.T is the Fortran-order transpose, so LAPACK's lower factor
+            # reads K's upper triangle and overwrites it in place: the factor
+            # takes the kernel's memory, over the zeros of its upper part.
+            L, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
-            last_error = exc
+            # keep the message only: the traceback holds the consumed buffer
+            last_error, K = str(exc), None
             continue
         return _estimator(X_train, y_log, L, config, layout_hash, jitter)
     raise FitError(
@@ -247,8 +261,13 @@ def predict(
         return Prediction(empty, empty, empty, empty, empty, empty, delta)
 
     noise = estimator.config.noise_sq if predictive_noise else 0.0
-    mean, v = _whiten(estimator, X_test)
-    return _summarize(mean, kernel_diag(X_test, estimator.config), v, delta, noise)
+    mean, explained = np.empty(len(X_test)), np.empty(len(X_test))
+    for lo in range(0, len(X_test), _WHITEN_COLS):
+        piece = slice(lo, lo + _WHITEN_COLS)
+        mean[piece], v = _whiten(estimator, X_test[piece])
+        explained[piece] = np.einsum("ij,ij->j", v, v)
+        del v  # free the piece before the next one is built
+    return _summarize(mean, kernel_diag(X_test, estimator.config), explained, delta, noise)
 
 
 def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> tuple:
@@ -263,11 +282,11 @@ def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> tuple:
     return mean, v
 
 
-def _summarize(mean, prior_var, v, delta, noise=0.0) -> Prediction:
-    """Posterior summaries from the mean, the prior variances and the whitened
-    cross block v: the latent variance prior - colsum(v^2), clamped at zero,
-    plus `noise`."""
-    var = np.maximum(prior_var - np.einsum("ij,ij->j", v, v), 0.0) + noise
+def _summarize(mean, prior_var, explained, delta, noise=0.0) -> Prediction:
+    """Posterior summaries from the mean, the prior variances and the variance
+    the training data explains, colsum(v^2) of the whitened cross block v:
+    the latent variance prior - explained, clamped at zero, plus `noise`."""
+    var = np.maximum(prior_var - explained, 0.0) + noise
     ci_low, ci_high = _interval(mean, var, delta)
     cov = _coefficient_of_variation(mean, var)
     card = np.maximum(1.0, np.exp(np.minimum(mean, 700.0)))

@@ -23,8 +23,11 @@ Given the per-layer diagonals, which follow their own recurrence, every
 layer step is elementwise. A kernel matrix is therefore built in row blocks
 of a fixed number of entries: each block gets its base values and then every
 depth layer, in place, while it is in cache. A same-batch matrix computes
-only its lower-triangular blocks and mirrors each one, so a build allocates
-one n x m output and block-sized scratch, nothing more.
+only its upper row blocks K[lo:hi, lo:], in a zeroed buffer, and either
+mirrors each one (the dense matrix) or leaves the strict lower triangle 0
+(triangle=True, the half a Cholesky never reads), so a build allocates one
+n x m output and block-sized scratch, nothing more. The RBF baseline is
+built by the same blocks.
 
 `nngp_kernel` and `rbf_kernel` return the noise-free prior covariance.
 Observation noise is the regressor's: `kernel_matrix` is the one place that
@@ -232,31 +235,64 @@ def kernel_diag(X: np.ndarray, config: KernelConfig) -> np.ndarray:
     return _diag_layers(X, config)[-1]
 
 
-def row_blocks(n_rows: int, n_cols: int):
+def row_blocks(n_rows: int, n_cols: int, upper: bool = False):
     """(lo, hi) row ranges of an n_rows x n_cols matrix, each of at most
-    _BLOCK_ELEMS entries (or one row, if a row is longer)."""
-    rows = max(1, _BLOCK_ELEMS // max(n_cols, 1))
-    for lo in range(0, n_rows, rows):
-        yield lo, min(lo + rows, n_rows)
+    _BLOCK_ELEMS entries (or one row, if a row is longer).
+
+    upper=True walks the upper triangle of a square matrix: block lo:hi spans
+    only columns lo:n_cols, so the blocks hold more rows as they go down.
+    """
+    lo = 0
+    while lo < n_rows:
+        width = n_cols - lo if upper else n_cols
+        hi = min(n_rows, lo + max(1, _BLOCK_ELEMS // max(width, 1)))
+        yield lo, hi
+        lo = hi
 
 
-def _mirror_block(K: np.ndarray, lo: int, hi: int) -> None:
-    """Copy the lower triangle of rows lo:hi onto the matching upper triangle."""
-    K[:lo, lo:hi] = K[lo:hi, :lo].T
-    square = K[lo:hi, lo:hi]
-    upper = np.triu_indices(hi - lo, 1)
-    square[upper] = square.T[upper]
+def _block_build(n: int, m: int, diag: Optional[np.ndarray], fill, triangle: bool) -> np.ndarray:
+    """A kernel matrix filled row block by row block by fill(block, rows, cols).
+
+    diag=None builds the n x m cross matrix, whole. Otherwise the matrix is the
+    n x n same-batch one: only its upper row blocks K[lo:hi, lo:] are filled,
+    in a zeroed buffer. Each block's entries below the diagonal are then
+    zeroed (triangle=True) or mirrored from the transposed entries above it,
+    and the diagonal is set to `diag`. The upper triangle is therefore the
+    same, bit for bit, in both layouts, and the triangle is exactly what a
+    lower Cholesky of the Fortran-order K.T reads.
+    """
+    same = diag is not None
+    if triangle and not same:
+        raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
+    K = np.zeros((n, n)) if same else np.empty((n, m))
+    for lo, hi in row_blocks(n, m, upper=same):
+        first = lo if same else 0
+        fill(K[lo:hi, first:], slice(lo, hi), slice(first, None))
+        if same:
+            square = K[lo:hi, lo:hi]
+            below = np.tri(hi - lo, k=-1, dtype=bool)
+            if triangle:
+                square[below] = 0.0
+            else:
+                square[below] = square.T[below]
+                K[hi:, lo:hi] = K[lo:hi, hi:].T
+    if same:
+        np.fill_diagonal(K, diag)
+    return K
 
 
 def nngp_kernel(
-    X: np.ndarray, X2: Optional[np.ndarray] = None, config: KernelConfig = KernelConfig()
+    X: np.ndarray,
+    X2: Optional[np.ndarray] = None,
+    config: KernelConfig = KernelConfig(),
+    triangle: bool = False,
 ) -> np.ndarray:
     """Depth-recursed network kernel matrix, without observation noise.
 
-    X2=None computes the symmetric same-batch matrix: only the lower-triangular
-    row blocks are computed, each is mirrored in place, and the diagonal is
-    taken from the exact diagonal recurrence, so it equals `kernel_diag`.
-    Depth 0 is exactly the base kernel.
+    X2=None computes the symmetric same-batch matrix from its upper row blocks
+    (see `_block_build`; triangle=True leaves the strict lower triangle 0),
+    with the diagonal taken from the exact diagonal recurrence, so it equals
+    `kernel_diag`. Depth 0 is exactly the base kernel.
     """
     same = X2 is None
     X, X2 = _batches(X, X2)
@@ -264,60 +300,64 @@ def nngp_kernel(
     row_diags = _diag_layers(X, config)
     col_diags = row_diags if same else _diag_layers(X2, config)
     relu = config.activation == "relu"
-    K = np.empty((n, m))
     # room for the largest block: _BLOCK_ELEMS entries, or one row if longer
     scratch = np.empty((3, min(n * m, max(_BLOCK_ELEMS, m)))) if relu else None
-    for lo, hi in row_blocks(n, m):
-        width = hi if same else m
-        block = K[lo:hi, :width]
-        block[...] = base_kernel(X[lo:hi], X2[:width], config)
+
+    def fill(block, rows, cols):
+        block[...] = base_kernel(X[rows], X2[cols], config)
         if relu:
             block_scratch = [buf[: block.size].reshape(block.shape) for buf in scratch]
         for depth in range(config.depth):
-            k_xx, k_xpxp = row_diags[depth][lo:hi, None], col_diags[depth][None, :width]
+            k_xx, k_xpxp = row_diags[depth][rows, None], col_diags[depth][None, cols]
             if relu:
                 _relu_step(block, k_xx, k_xpxp, config, block_scratch)
             else:
                 _erf_step(block, k_xx, k_xpxp, config)
-        if same:
-            _mirror_block(K, lo, hi)
-    if same:
-        np.fill_diagonal(K, row_diags[-1])
-    return K
+
+    return _block_build(n, m, row_diags[-1] if same else None, fill, triangle)
 
 
 def rbf_kernel(
-    X: np.ndarray, X2: Optional[np.ndarray] = None, length_scale: float = 1.0
+    X: np.ndarray,
+    X2: Optional[np.ndarray] = None,
+    length_scale: float = 1.0,
+    triangle: bool = False,
 ) -> np.ndarray:
-    """Stationary baseline kernel exp(-||x - x'||^2 / (2 l^2))."""
+    """Stationary baseline kernel exp(-||x - x'||^2 / (2 l^2)), built in row blocks."""
     if length_scale <= 0:
         raise KernelError(f"length_scale must be > 0, got {length_scale}")
-    X = np.asarray(X, dtype=np.float64)
     same = X2 is None
-    X2m = X if same else np.asarray(X2, dtype=np.float64)
+    X, X2 = _batches(X, X2)
     sq1 = np.einsum("ij,ij->i", X, X)
-    sq2 = sq1 if same else np.einsum("ij,ij->i", X2m, X2m)
-    d2 = np.maximum(sq1[:, None] + sq2[None, :] - 2.0 * (X @ X2m.T), 0.0)
-    K = np.exp(-d2 / (2.0 * length_scale**2))
-    if same:
-        for lo, hi in row_blocks(len(K), len(K)):
-            _mirror_block(K, lo, hi)
-        np.fill_diagonal(K, 1.0)
-    return K
+    sq2 = sq1 if same else np.einsum("ij,ij->i", X2, X2)
+
+    def fill(block, rows, cols):
+        np.add(sq1[rows, None], sq2[None, cols], out=block)
+        block -= 2.0 * (X[rows] @ X2[cols].T)
+        np.maximum(block, 0.0, out=block)
+        block /= -2.0 * length_scale**2
+        np.exp(block, out=block)
+
+    return _block_build(len(X), len(X2), np.ones(len(X)) if same else None, fill, triangle)
 
 
 def kernel_matrix(
-    X: np.ndarray, X2: Optional[np.ndarray] = None, config: KernelConfig = KernelConfig()
+    X: np.ndarray,
+    X2: Optional[np.ndarray] = None,
+    config: KernelConfig = KernelConfig(),
+    triangle: bool = False,
 ) -> np.ndarray:
     """The regressor's covariance of the configured kernel family.
 
     X2=None gives the training covariance K(X, X) + noise_sq * I; a cross
-    matrix K(X, X2) carries no noise.
+    matrix K(X, X2) carries no noise. triangle=True, for the training
+    covariance only, leaves its strict lower triangle 0 instead of mirroring
+    the upper one: the C-order upper triangle is all that `gp.fit` factors.
     """
     if config.kernel_family == "rbf":
-        K = rbf_kernel(X, X2, config.length_scale)
+        K = rbf_kernel(X, X2, config.length_scale, triangle)
     else:
-        K = nngp_kernel(X, X2, config)
+        K = nngp_kernel(X, X2, config, triangle)
     if X2 is None:
         K[np.diag_indices_from(K)] += config.noise_sq
     return K

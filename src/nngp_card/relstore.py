@@ -464,17 +464,23 @@ def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
 
     Layout: {"relations": [{"name", "rows", "columns"}...],
              "join_pairs": [["R1.A", "R2.A"], ...]}; a relation without a
-    name is called rel<i>. `synth_relation` checks the column specs.
+    name is called rel<i>. Each name becomes the stem of the relation's files,
+    so it must be a plain file name, and unique. `synth_relation` checks the
+    column specs.
     """
     doc = artifact.check_fields(
         artifact.read_json(path, IngestError), path, IngestError, {"relations": list}, {"join_pairs": list}
     )
     relations = []
     for i, rel in enumerate(doc["relations"]):
-        artifact.check_fields(
-            rel, f"{path}: relation {i}", IngestError, {"rows": int, "columns": list}, {"name": str}
-        )
-        relations.append((rel.get("name", f"rel{i}"), rel["rows"], rel["columns"]))
+        where = f"{path}: relation {i}"
+        artifact.check_fields(rel, where, IngestError, {"rows": int, "columns": list}, {"name": str})
+        name = rel.get("name", f"rel{i}")
+        if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
+            raise IngestError(f"{where}: name {name!r} is not a plain file name")
+        if name in (r[0] for r in relations):
+            raise IngestError(f"{where}: name {name!r} repeats an earlier relation's")
+        relations.append((name, rel["rows"], rel["columns"]))
     return relations, _join_pairs(doc.get("join_pairs", []), path, IngestError)
 
 
@@ -540,7 +546,10 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
         elif kind == "uniform_int":
             # integer-valued numerical column; the natural shape for join keys
             lo, hi = _spec_floats(spec, col, "lo", "hi")
-            if int(lo) > int(hi):
+            for key, value in (("lo", lo), ("hi", hi)):
+                if not value.is_integer():
+                    raise IngestError(f"column {col!r}: uniform_int {key} must be an integer, got {value!r}")
+            if lo > hi:
                 raise IngestError(f"column {col!r}: uniform_int needs lo <= hi")
             vals = rng.integers(int(lo), int(hi) + 1, size=n_rows).astype(np.float64)
         elif kind == "mixture":

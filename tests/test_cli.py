@@ -468,6 +468,7 @@ class TestInputDocuments:
             pytest.param('{"kernel": {"depth": true}}', "KernelError", id="wrong-type-bool-depth"),
             pytest.param('{"kernel": {"noise_sq": null}}', "KernelError", id="wrong-type-null"),
             pytest.param('{"encoder": {"chunk_size": "8"}}', "EncodingError", id="wrong-type-encoder"),
+            pytest.param('{"encoder": {"chunk_size": 0}}', "EncodingError", id="zero-chunk-size"),
         ],
     )
     def test_config(self, tmp_path, capsys, text, error):
@@ -510,12 +511,39 @@ class TestInputDocuments:
                          '"values": "abc"}]}]}', id="wrong-type-values"),
             pytest.param(f'{{"relations": [{{"rows": 5, "columns": [{COLUMN}]}}], "join_pairs": [["r.x", 1]]}}',
                          id="wrong-type-join-pair"),
+            pytest.param('{"relations": [{"rows": 5, "columns": [{"name": "x", "kind": "uniform_int", "lo": 0.5, '
+                         '"hi": 3}]}]}', id="fractional-uniform-int"),
         ],
     )
     def test_spec(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text, encoding="utf-8")
         fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d"], "IngestError")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            pytest.param(["../escaped"], "relation 0: name '../escaped' is not a plain file name", id="parent-dir"),
+            pytest.param(["r", "a/b"], "relation 1: name 'a/b' is not a plain file name", id="subdir"),
+            pytest.param(["a\\b"], "relation 0: name ", id="backslash"),
+            pytest.param(["."], "relation 0: name '.' is not a plain file name", id="dot"),
+            pytest.param([""], "relation 0: name '' is not a plain file name", id="empty"),
+            pytest.param(["r", "s", "r"], "relation 2: name 'r' repeats", id="repeated"),
+            pytest.param(["rel1", None], "relation 1: name 'rel1' repeats", id="repeats-a-default-name"),
+        ],
+    )
+    def test_spec_relation_names(self, tmp_path, capsys, names, message):
+        # a relation's name is the stem of the files synth writes for it
+        relations = [
+            {"rows": 5, "columns": [json.loads(COLUMN)], **({} if name is None else {"name": name})} for name in names
+        ]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"relations": relations}), encoding="utf-8")
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "sub" / "d")]) == 1
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+        doc = json.loads(line)
+        assert doc["error"] == "IngestError" and doc["message"].startswith(f"{spec}: {message}"), doc
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]  # nothing written anywhere
 
     @pytest.mark.parametrize(
         "text",

@@ -116,6 +116,27 @@ class TestFit:
         assert est.jitter == 0.0
         assert peak <= 1.5 * 8 * n * n
 
+    def test_fitted_factor_has_a_zero_upper_triangle(self, model_3000):
+        est, _ = model_3000
+        assert est.chol.flags.f_contiguous and not np.any(np.triu(est.chol, 1))
+
+    def test_failed_rung_releases_its_buffer_before_the_rebuild(self):
+        # one duplicated row and no noise: the kernel is singular, the first
+        # relative jitter makes it factor
+        n = 1500
+        rng = np.random.default_rng(5)
+        X, y = rng.uniform(0, 1, (n, 12)), rng.uniform(0, 8, n)
+        X[-1] = X[0]
+        cfg = KernelConfig(noise_sq=0.0)
+        tracemalloc.start()
+        try:
+            est = gp.fit(X, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.jitter == pytest.approx(gp.JITTER_LADDER[1] * np.mean(kernel_diag(X, cfg)), rel=1e-12)
+        assert peak <= 1.5 * 8 * n * n
+
     @pytest.mark.parametrize(
         "X, y, match",
         [
@@ -319,6 +340,34 @@ class TestPredict:
             tracemalloc.stop()
         assert np.all(np.isfinite(pred.var_log))
         assert peak <= 1.5 * 8 * est.n_train * len(X_test)
+
+    def test_predict_holds_one_piece_at_a_time(self, model_3000):
+        est, _ = model_3000
+        X_test = np.random.default_rng(24).uniform(0, 1, (4 * gp._WHITEN_COLS, est.X_train.shape[1]))
+        tracemalloc.start()
+        try:
+            pred = gp.predict(est, X_test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(pred.var_log))
+        assert peak <= 1.5 * 8 * est.n_train * gp._WHITEN_COLS
+
+    def test_pieces_match_per_piece_and_single_query_predictions(self):
+        # noise 0.1 keeps |alpha| small: a single query's mean is a gemv, a
+        # batch's a gemm, and their rounding scales with sum |k_i alpha_i|
+        rng = np.random.default_rng(26)
+        est = gp.fit(rng.uniform(0, 1, (2000, 12)), rng.uniform(0, 8, 2000), KernelConfig(noise_sq=0.1))
+        X_test = rng.uniform(0, 1, (1100, 12))
+        whole = gp.predict(est, X_test)
+        pieces = [gp.predict(est, X_test[lo : lo + gp._WHITEN_COLS]) for lo in range(0, 1100, gp._WHITEN_COLS)]
+        singles = [gp.predict(est, X_test[i : i + 1]) for i in range(0, 1100, 37)]
+        for field in ("mean_log", "var_log"):
+            values = getattr(whole, field)
+            assert np.array_equal(values, np.concatenate([getattr(p, field) for p in pieces]))
+            np.testing.assert_allclose(
+                values[::37], [getattr(p, field)[0] for p in singles], rtol=0, atol=1e-12 * np.abs(values).max()
+            )
 
 
 class TestIntervalAndCov:

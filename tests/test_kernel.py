@@ -8,6 +8,7 @@ import pytest
 
 from nngp_card.diagnostics import mc_activation_expectations, random_psd_case
 from nngp_card.kernel import (
+    _BLOCK_ELEMS,
     KernelConfig,
     KernelError,
     base_kernel,
@@ -262,9 +263,9 @@ class TestBlockBuild:
     @pytest.mark.parametrize("activation", ["relu", "erf"])
     @pytest.mark.parametrize("n", [1, 7, 2000])
     def test_same_batch_matches_dense_recursion(self, activation, n):
-        if n == 2000:  # several row blocks, the last one short
-            blocks = list(row_blocks(n, n))
-            assert len(blocks) > 2 and n % blocks[0][1] != 0
+        if n == 2000:  # several upper row blocks, growing down the matrix
+            blocks = list(row_blocks(n, n, upper=True))
+            assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] > blocks[0][1] - blocks[0][0]
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
         top = KernelConfig(depth=4, activation=activation, noise_sq=0.01)
         for depth, ref in enumerate(_dense_layers(X, None, top)):
@@ -273,6 +274,37 @@ class TestBlockBuild:
             assert np.array_equal(K, K.T)
             assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg))
             np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    @pytest.mark.parametrize(
+        "cfg",
+        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)]
+        + [KernelConfig(kernel_family="rbf", length_scale=0.8)],
+        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)] + ["rbf"],
+    )
+    def test_triangle_is_the_dense_upper_triangle(self, cfg, n):
+        X = np.random.default_rng(n).uniform(0, 1, (n, 6))
+        dense = kernel_matrix(X, None, cfg)
+        tri = kernel_matrix(X, None, cfg, triangle=True)
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(np.triu(tri), np.triu(dense))
+        assert not np.any(np.tril(tri, -1))
+
+    def test_triangle_needs_the_same_batch(self):
+        X = np.zeros((3, 2))
+        with pytest.raises(KernelError, match="same-batch"):
+            kernel_matrix(X, X, KernelConfig(), triangle=True)
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, upper",
+        [(1, 300_000, False), (5000, 3, False)] + [(n, n, upper) for n in (1, 7, 2000) for upper in (False, True)],
+    )
+    def test_row_blocks_tile_the_rows_within_the_block_size(self, n_rows, n_cols, upper):
+        blocks = list(row_blocks(n_rows, n_cols, upper))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n_rows
+        for lo, hi in blocks:
+            width = n_cols - lo if upper else n_cols
+            assert hi > lo and ((hi - lo) * width <= _BLOCK_ELEMS or hi - lo == 1)
 
     @pytest.mark.parametrize("activation", ["relu", "erf"])
     @pytest.mark.parametrize("m", [1, 123])

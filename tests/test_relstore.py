@@ -311,11 +311,17 @@ class TestSynth:
             ([{"name": "x", "kind": "uniform", "lo": 0, "hi": 1, "weights": [1]}], "'x': unknown keys \\['weights'\\]"),
             ([{"name": 5, "kind": "uniform", "lo": 0, "hi": 1}], "column name must be a string"),
             (["x"], "column spec must be an object"),
+            ([{"name": "x", "kind": "uniform_int", "lo": 0.5, "hi": 3}], "'x': uniform_int lo must be an integer"),
+            ([{"name": "x", "kind": "uniform_int", "lo": 0, "hi": 2.5}], "'x': uniform_int hi must be an integer"),
         ],
     )
     def test_invalid_specs(self, spec, match):
         with pytest.raises(IngestError, match=match):
             synth_relation(0, 10, spec)
+
+    def test_uniform_int_takes_integral_floats(self):
+        spec = [{"name": "x", "kind": "uniform_int", "lo": 2.0, "hi": 4}]
+        assert set(synth_relation(0, 200, spec).column("x").tolist()) == {2.0, 3.0, 4.0}
 
     def test_categorical_domain_is_observed_set(self):
         rel = synth_relation(
