@@ -4,8 +4,8 @@ q-error is the symmetric ratio max(c/chat, chat/c) (1 = perfect); the squared
 log-ratio loss it pairs with is reported as mse_log. The active-learning loop
 implements plain uncertainty sampling: rank the unlabeled pool by coefficient
 of variation, move the top k into training and grow the exact GP by a
-block-Cholesky append (`gp.extend`); the pool and test posteriors grow by the
-same k rows instead of being recomputed.
+block-Cholesky append; `gp` grows the pool's and the test set's whitened
+batches by the same k rows instead of recomputing their posteriors.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import gp
 from .gp import CardinalityEstimator, Prediction
-from .kernel import KernelConfig, kernel_diag, kernel_matrix
+from .kernel import KernelConfig
 
 Q_QUANTILES = (25, 50, 75, 95)
 
@@ -107,7 +106,7 @@ def _stats_row(label: str, s: QErrorStats) -> str:
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks, each tie group sharing its mean rank; all NaN if any
-    value is NaN. Equal, bit for bit, to `scipy.stats.rankdata(a)`."""
+    value is NaN. Equal, bit for bit, to SciPy's `stats.rankdata(a)`."""
     if np.isnan(a).any():
         return np.full(a.size, np.nan)
     _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
@@ -202,71 +201,14 @@ class ALResult:
     mse_history[0] is the base model's test MSE; one entry follows per
     iteration. selected holds original pool indices, in selection order.
     refits counts the iterations whose block-Cholesky append failed (the new
-    rows' Schur complement did not factor), so that `gp.extend` refit the
-    union from scratch.
+    rows' Schur complement did not factor), so that `gp.extend_whitened`
+    refit the union from scratch.
     """
 
     mse_history: list[float]
     selected: list[np.ndarray]
     estimator: CardinalityEstimator
     refits: int
-
-
-class _Whitened:
-    """V = L^-1 K(train, X) for a fixed query batch X, grown with the model.
-
-    With V and the whitened targets w = L^-1 y, the posterior mean is V^T w
-    and the latent variance prior - colsum(V^2). V sits in the leading rows
-    and columns of one Fortran-order buffer sized for the largest training
-    set it will see, so appending rows and dropping columns never copies it.
-    The block is built and compacted in pieces of `gp._WHITEN_COLS` columns,
-    so no second block-sized array is ever held.
-    """
-
-    def __init__(self, X: np.ndarray, rows: int, estimator: CardinalityEstimator):
-        self.X = X
-        self.cols = np.arange(len(X))
-        self.prior = kernel_diag(X, estimator.config)
-        self.buf = np.empty((rows, len(X)), order="F")
-        self.rebuild(estimator)
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.buf[: self.n, : len(self.cols)]
-
-    def rebuild(self, estimator: CardinalityEstimator) -> None:
-        """Whiten every column against the estimator's factor."""
-        self.n = estimator.n_train
-        for lo in range(0, len(self.cols), gp._WHITEN_COLS):
-            part = self.cols[lo : lo + gp._WHITEN_COLS]
-            self.buf[: self.n, lo : lo + len(part)] = gp._whiten(estimator, self.X[part])[1]
-
-    def grow(self, estimator: CardinalityEstimator) -> None:
-        """Append the rows for the estimator's training rows beyond the first n.
-
-        Its factor is [[L, 0], [B^T, C]] with L the one V was whitened by, so
-        the new rows are C^-1 (K(new, X) - B^T V).
-        """
-        n, L = self.n, estimator.chol
-        R = kernel_matrix(self.X[self.cols], estimator.X_train[n:], estimator.config).T
-        R -= L[n:, :n] @ self.V
-        rows = solve_triangular(L[n:, n:], R, lower=True, overwrite_b=True, check_finite=False)
-        self.buf[n : estimator.n_train, : len(self.cols)] = rows
-        self.n = estimator.n_train
-
-    def drop(self, positions: np.ndarray) -> None:
-        """Remove the columns at `positions`, moving the kept ones left in place."""
-        keep = np.delete(np.arange(len(self.cols)), positions)
-        # kept column j comes from column keep[j] >= j, so moving pieces in
-        # ascending order never overwrites a column before it is read
-        for lo in range(0, len(keep), gp._WHITEN_COLS):
-            part = keep[lo : lo + gp._WHITEN_COLS]
-            self.buf[: self.n, lo : lo + len(part)] = self.buf[: self.n, part]
-        self.cols, self.prior = self.cols[keep], self.prior[keep]
-
-    def predict(self, w: np.ndarray) -> Prediction:
-        V = self.V
-        return gp._summarize(V.T @ w, self.prior, np.einsum("ij,ij->j", V, V), delta=0.95)
 
 
 def active_learn(
@@ -284,17 +226,30 @@ def active_learn(
 
     Pool queries are drawn without replacement, ranked by coefficient of
     variation (descending, ties broken by ascending pool index); the model
-    grows by `gp.extend` each iteration and the test MSE is recorded. The
-    pool's and the test set's whitened cross blocks grow by k rows per
-    iteration, so an iteration costs O(k n (n + m) + k^3) for m pool and test
-    queries, not a refit's O(n^3 + n^2 m); the result is the exact GP of
-    each grown training set at the model's absolute jitter. Pool labels are
-    looked up only for selected queries, mirroring an oracle call.
+    grows by `gp.extend_whitened` each iteration and the test MSE is
+    recorded. The pool's and the test set's `gp.Whitened` batches grow by k
+    rows per iteration, so an iteration costs O(k n (n + m) + k^3) for m pool
+    and test queries, not a refit's O(n^3 + n^2 m); the result is the exact
+    GP of each grown training set at the model's absolute jitter. Pool labels
+    are looked up only for selected queries, mirroring an oracle call.
     """
     X_pool = np.asarray(X_pool, dtype=np.float64)
     y_pool_log = np.asarray(y_pool_log, dtype=np.float64)
+    X_test = np.asarray(X_test, dtype=np.float64)
+    test_cards = np.asarray(test_cards, dtype=np.float64)
     if iterations < 0 or k < 0:
         raise ValueError("iterations and k must be non-negative")
+    d, pool_rows, test_rows = np.shape(X_train)[-1], X_pool.shape[:1], X_test.shape[:1]
+    for name, a, shape in (
+        ("X_pool", X_pool, (*pool_rows, d)),
+        ("y_pool_log", y_pool_log, pool_rows),
+        ("X_test", X_test, (*test_rows, d)),
+        ("test_cards", test_cards, test_rows),
+    ):
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains non-finite values")
     if iterations * k > len(X_pool):
         raise ValueError(
             f"pool exhausted: {iterations} x {k} selections exceed pool size {len(X_pool)}"
@@ -302,37 +257,25 @@ def active_learn(
 
     estimator = gp.fit(X_train, y_train_log, config)
     rows = estimator.n_train + iterations * k
-    test = _Whitened(np.asarray(X_test, dtype=np.float64), rows, estimator)
+    test = gp.Whitened(X_test, rows, estimator)
     # the pool block is last read before the final selection
-    pool = _Whitened(X_pool, rows - k, estimator) if iterations and k else None
-    w = _whitened_targets(estimator)
-    history = [mse_log(test_cards, test.predict(w).card_estimate)]
+    pool = gp.Whitened(X_pool, rows - k, estimator) if iterations and k else None
+    history = [mse_log(test_cards, test.predict(estimator).card_estimate)]
     selected: list[np.ndarray] = []
     refits = 0
 
     for i in range(iterations):
         chosen = np.zeros(0, dtype=np.int64)
         if pool is not None:
-            order = np.argsort(-pool.predict(w).cov, kind="stable")[:k]
+            order = np.argsort(-pool.predict(estimator).cov, kind="stable")[:k]
             chosen = pool.cols[order]
             if i == iterations - 1:
                 pool = None  # free the block before the factor grows
             else:
                 pool.drop(order)
-            grown = gp.extend(estimator, X_pool[chosen], y_pool_log[chosen])
-            # extend keeps the old factor as the leading block unless it refit
-            appended = np.array_equal(grown.chol[: estimator.n_train, : estimator.n_train], estimator.chol)
-            estimator = grown
-            update = _Whitened.grow if appended else _Whitened.rebuild
-            update(test, estimator)
-            if pool is not None:
-                update(pool, estimator)
+            batches = [test] if pool is None else [test, pool]
+            estimator, appended = gp.extend_whitened(estimator, X_pool[chosen], y_pool_log[chosen], batches)
             refits += not appended
-            w = _whitened_targets(estimator)
         selected.append(chosen)
-        history.append(mse_log(test_cards, test.predict(w).card_estimate))
+        history.append(mse_log(test_cards, test.predict(estimator).card_estimate))
     return ALResult(mse_history=history, selected=selected, estimator=estimator, refits=refits)
-
-
-def _whitened_targets(estimator: CardinalityEstimator) -> np.ndarray:
-    return solve_triangular(estimator.chol, estimator.y_log, lower=True, check_finite=False)

@@ -1,10 +1,10 @@
 """Exact Gaussian-process training and prediction over log-cardinalities.
 
 Training factorizes the train-train covariance K + noise*I, which
-`kernel_matrix` returns, once with a Cholesky decomposition; the only term
-the regressor adds to it is the jitter of a failed factorization. Prediction
-is then a linear smoother over the training targets plus a triangular solve
-for the predictive variance.
+`kernel_matrix` returns, once with a Cholesky decomposition L; the only term
+the regressor adds to K is the jitter of a failed factorization. A posterior
+whitens the queries' cross kernel, v = L^-1 K(train, X): its mean is v^T w
+for the whitened targets w = L^-1 y, its variance prior - colsum(v^2).
 The fit builds only the upper triangle of the kernel, the half LAPACK reads,
 and factors it in place, so the factor occupies the kernel's own n x n
 buffer, a fit holds one n x n matrix at a time, and the factor's strict
@@ -43,7 +43,7 @@ JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 _WHITEN_COLS = 512
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 class FitError(Exception):
@@ -58,17 +58,17 @@ class ModelIOError(Exception):
 class CardinalityEstimator:
     """Immutable trained state; safe for concurrent predict calls.
 
-    `chol` is the lower factor of K + noise*I (+ jitter), in Fortran order
+    `chol` is the lower factor L of K + noise*I (+ jitter), in Fortran order
     and in the memory the kernel was built in, with a zero strict upper
-    triangle; `alpha` solves
-    (K + noise*I) alpha = y_log. `file_hash` is the verified header hash of
-    the model file the state was loaded from, empty for a fitted state.
+    triangle; `w` = L^-1 y_log are the whitened targets. `file_hash` is the
+    verified header hash of the model file the state was loaded from, empty
+    for a fitted state.
     """
 
     X_train: np.ndarray
     y_log: np.ndarray
     chol: np.ndarray
-    alpha: np.ndarray
+    w: np.ndarray
     config: KernelConfig
     layout_hash: str = ""
     jitter: float = 0.0
@@ -77,6 +77,11 @@ class CardinalityEstimator:
     @property
     def n_train(self) -> int:
         return len(self.y_log)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The smoother weights (K + noise*I)^-1 y_log = L^-T w, solved on each read."""
+        return solve_triangular(self.chol.T, self.w, lower=False, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,7 @@ def fit(
     config: KernelConfig = KernelConfig(),
     layout_hash: str = "",
 ) -> CardinalityEstimator:
-    """Factorize the train-train kernel and solve for the smoother weights.
+    """Factorize the train-train kernel and whiten the targets by its factor.
 
     The Cholesky is first attempted on the kernel as-is; on failure the
     kernel is rebuilt with a relative jitter, escalating through
@@ -154,6 +159,12 @@ def extend(
     itself. If S does not factor, the union is refit by `fit`, jitter ladder
     and all.
     """
+    return extend_whitened(estimator, X_new, y_new, ())[0]
+
+
+def extend_whitened(estimator: CardinalityEstimator, X_new: np.ndarray, y_new: np.ndarray, batches) -> tuple:
+    """`extend`, growing each `Whitened` batch in `batches` with the model, and whether
+    it appended (True: the batches grew by k rows) or refit (False: they were whitened again)."""
     X_new, y_new = _training_data(X_new, y_new)
     n, d = estimator.X_train.shape
     if X_new.shape[1] != d:
@@ -161,20 +172,26 @@ def extend(
     X = np.concatenate([estimator.X_train, X_new])
     y = np.concatenate([estimator.y_log, y_new])
     config = estimator.config
-    _, B = _whiten(estimator, X_new)
+    B = _whiten(estimator, X_new)
     S = kernel_matrix(X_new, None, config)  # noise included on the diagonal
     S[np.diag_indices_from(S)] += estimator.jitter
     S -= B.T @ B
     try:
         C = cholesky(S, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
-        return fit(X, y, config, estimator.layout_hash)
+        grown = fit(X, y, config, estimator.layout_hash)
+        for batch in batches:
+            batch._rebuild(grown)
+        return grown, False
+    # the batches grow before the (n + k)^2 factor is allocated
+    for batch in batches:
+        batch._grow(X_new, B, C)
     L = np.empty((len(y), len(y)), order="F")
     L[:n, :n] = estimator.chol
     L[:n, n:] = 0.0
     L[n:, :n] = B.T
     L[n:, n:] = C
-    return _estimator(X, y, L, config, estimator.layout_hash, estimator.jitter)
+    return _estimator(X, y, L, config, estimator.layout_hash, estimator.jitter), True
 
 
 def _training_data(X: np.ndarray, y: np.ndarray) -> tuple:
@@ -193,14 +210,12 @@ def _training_data(X: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def _estimator(X, y, L, config, layout_hash, jitter) -> CardinalityEstimator:
-    """Trained state from the factor L of the kernel: alpha by two triangular solves."""
-    alpha = solve_triangular(L, y, lower=True, check_finite=False)
-    alpha = solve_triangular(L.T, alpha, lower=False, check_finite=False)
+    """Trained state from the factor L of the kernel: w = L^-1 y by one triangular solve."""
     return CardinalityEstimator(
         X_train=X,
         y_log=y,
         chol=L,
-        alpha=alpha,
+        w=solve_triangular(L, y, lower=True, check_finite=False),
         config=config,
         layout_hash=layout_hash,
         jitter=jitter,
@@ -256,6 +271,8 @@ def predict(
             f"feature dimension {X_test.shape[1]} does not match training "
             f"dimension {estimator.X_train.shape[1]}"
         )
+    if not np.all(np.isfinite(X_test)):
+        raise ModelIOError("query features contain non-finite values")
     if len(X_test) == 0:
         empty = np.zeros(0, dtype=np.float64)
         return Prediction(empty, empty, empty, empty, empty, empty, delta)
@@ -264,28 +281,30 @@ def predict(
     mean, explained = np.empty(len(X_test)), np.empty(len(X_test))
     for lo in range(0, len(X_test), _WHITEN_COLS):
         piece = slice(lo, lo + _WHITEN_COLS)
-        mean[piece], v = _whiten(estimator, X_test[piece])
-        explained[piece] = np.einsum("ij,ij->j", v, v)
-        del v  # free the piece before the next one is built
+        # the piece is freed before the next one is built
+        mean[piece], explained[piece] = _moments(_whiten(estimator, X_test[piece]), estimator.w)
     return _summarize(mean, kernel_diag(X_test, estimator.config), explained, delta, noise)
 
 
-def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> tuple:
-    """Smoother mean K(X, train) alpha and the whitened cross block L^-1 K(train, X).
+def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> np.ndarray:
+    """The whitened cross block L^-1 K(train, X).
 
     The cross kernel is built as K(X, train) and transposed, so the n x m block
     is already in Fortran order and the triangular solve runs in its memory.
     """
     k_star = kernel_matrix(X, estimator.X_train, estimator.config).T
-    mean = k_star.T @ estimator.alpha
-    v = solve_triangular(estimator.chol, k_star, lower=True, overwrite_b=True, check_finite=False)
-    return mean, v
+    return solve_triangular(estimator.chol, k_star, lower=True, overwrite_b=True, check_finite=False)
+
+
+def _moments(v: np.ndarray, w: np.ndarray) -> tuple:
+    """The posterior mean v^T w and the variance the training data explains, colsum(v^2)."""
+    return v.T @ w, np.einsum("ij,ij->j", v, v)
 
 
 def _summarize(mean, prior_var, explained, delta, noise=0.0) -> Prediction:
     """Posterior summaries from the mean, the prior variances and the variance
-    the training data explains, colsum(v^2) of the whitened cross block v:
-    the latent variance prior - explained, clamped at zero, plus `noise`."""
+    the training data explains: the latent variance prior - explained,
+    clamped at zero, plus `noise`."""
     var = np.maximum(prior_var - explained, 0.0) + noise
     ci_low, ci_high = _interval(mean, var, delta)
     cov = _coefficient_of_variation(mean, var)
@@ -304,6 +323,57 @@ def _coefficient_of_variation(mean, var):
         return np.where(mean != 0.0, np.sqrt(var) / np.abs(mean), np.inf)
 
 
+class Whitened:
+    """v = L^-1 K(train, X) for a fixed query batch X, with `predict`'s posterior.
+
+    v sits in the leading rows and columns of one Fortran-order buffer sized
+    for the largest training set it will see, so `extend_whitened` appends
+    rows and `drop` removes columns without copying it. It is whitened, grown
+    and compacted in pieces of `_WHITEN_COLS` columns, so no second
+    block-sized array is ever held.
+    """
+
+    def __init__(self, X: np.ndarray, rows: int, estimator: CardinalityEstimator):
+        self.X, self.config = X, estimator.config
+        self.cols = np.arange(len(X))
+        self.prior = kernel_diag(X, self.config)
+        self.buf = np.empty((rows, len(X)), order="F")
+        self._rebuild(estimator)
+
+    def predict(self, estimator: CardinalityEstimator) -> Prediction:
+        """The posterior at `estimator`, the model the batch was whitened or grown by."""
+        mean, explained = _moments(self.buf[: self.n, : len(self.cols)], estimator.w)
+        return _summarize(mean, self.prior, explained, delta=0.95)
+
+    def drop(self, positions: np.ndarray) -> None:
+        """Remove the columns at `positions`, moving the kept ones left in place."""
+        keep = np.delete(np.arange(len(self.cols)), positions)
+        # kept column j comes from column keep[j] >= j, so moving pieces in
+        # ascending order never overwrites a column before it is read
+        for lo in range(0, len(keep), _WHITEN_COLS):
+            part = keep[lo : lo + _WHITEN_COLS]
+            self.buf[: self.n, lo : lo + len(part)] = self.buf[: self.n, part]
+        self.cols, self.prior = self.cols[keep], self.prior[keep]
+
+    def _rebuild(self, estimator: CardinalityEstimator) -> None:
+        """Whiten every column against the estimator's factor."""
+        self.n = estimator.n_train
+        for lo in range(0, len(self.cols), _WHITEN_COLS):
+            part = self.cols[lo : lo + _WHITEN_COLS]
+            self.buf[: self.n, lo : lo + len(part)] = _whiten(estimator, self.X[part])
+
+    def _grow(self, X_new: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+        """Append the rows of the new training rows X_new: with the grown factor
+        [[L, 0], [B^T, C]], they are C^-1 (K(X_new, X) - B^T v)."""
+        n, k = self.n, len(X_new)
+        for lo in range(0, len(self.cols), _WHITEN_COLS):
+            part = slice(lo, min(lo + _WHITEN_COLS, len(self.cols)))
+            R = kernel_matrix(self.X[self.cols[part]], X_new, self.config).T
+            R -= B.T @ self.buf[:n, part]
+            self.buf[n : n + k, part] = solve_triangular(C, R, lower=True, overwrite_b=True, check_finite=False)
+        self.n = n + k
+
+
 # ---------------------------------------------------------------------------
 # model persistence: an `artifact` file of four float64 payloads
 # ---------------------------------------------------------------------------
@@ -314,7 +384,7 @@ _PAYLOADS = (
     ("X_train", "train_hash", "training-feature"),
     ("y_log", "target_hash", "target"),
     ("chol", "chol_hash", "Cholesky-factor"),
-    ("alpha", "alpha_hash", "smoother-weight"),
+    ("w", "w_hash", "whitened-target"),
 )
 
 
@@ -367,7 +437,7 @@ def load(path) -> CardinalityEstimator:
             X_train=np.empty((n, d), "<f8"),
             y_log=np.empty(n, "<f8"),
             chol=np.zeros((n, n), "<f8", order="F"),
-            alpha=np.empty(n, "<f8"),
+            w=np.empty(n, "<f8"),
         )
         buffers = dict(fields, chol=_lower_columns(fields["chol"]))
         return [(key, what, buffers[field]) for field, key, what in _PAYLOADS]

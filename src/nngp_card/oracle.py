@@ -248,11 +248,11 @@ def _cond_mask(
 ) -> np.ndarray:
     left, right = catalog.join_pairs[cond.pair]
     lrel, _ = split_ref(left)
-    lvals, rvals = catalog.join_values[cond.pair]
+    lcodes, rcodes, _ = catalog.join_codes[cond.pair]
     lrows = incoming_rows if lrel == incoming else partial_rows[lrel]
     rrel, _ = split_ref(right)
     rrows = incoming_rows if rrel == incoming else partial_rows[rrel]
-    return _OP_FUNCS[cond.op](lvals[lrows], rvals[rrows])
+    return _OP_FUNCS[cond.op](lcodes[lrows], rcodes[rrows])
 
 
 def _join_step(
@@ -309,24 +309,24 @@ def _hash_join_pairs(
     """Matching (partial position, incoming position) pairs for an equi-join."""
     left, right = catalog.join_pairs[cond.pair]
     lrel, _ = split_ref(left)
-    lvals, rvals = catalog.join_values[cond.pair]
+    lcodes, rcodes, _ = catalog.join_codes[cond.pair]
     if lrel == incoming:
-        probe_vals = rvals[partial[split_ref(right)[0]]]
-        build_vals = lvals[incoming_rows]
+        probe = rcodes[partial[split_ref(right)[0]]]
+        build = lcodes[incoming_rows]
     else:
-        probe_vals = lvals[partial[lrel]]
-        build_vals = rvals[incoming_rows]
+        probe = lcodes[partial[lrel]]
+        build = rcodes[incoming_rows]
 
-    order = np.argsort(build_vals, kind="stable")
-    sorted_vals = build_vals[order]
-    lo = np.searchsorted(sorted_vals, probe_vals, side="left")
-    hi = np.searchsorted(sorted_vals, probe_vals, side="right")
+    order = np.argsort(build, kind="stable")
+    sorted_codes = build[order]
+    lo = np.searchsorted(sorted_codes, probe, side="left")
+    hi = np.searchsorted(sorted_codes, probe, side="right")
     counts = hi - lo
     total = int(counts.sum())
     if total > MAX_INTERMEDIATE:
         raise OracleError(f"equi-join result of {total} rows exceeds the desk-scale bound")
 
-    p_pos = np.repeat(np.arange(probe_vals.size, dtype=np.int64), counts)
+    p_pos = np.repeat(np.arange(probe.size, dtype=np.int64), counts)
     starts = np.repeat(lo, counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(
         np.concatenate(([0], np.cumsum(counts)[:-1])), counts

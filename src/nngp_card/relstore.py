@@ -93,8 +93,7 @@ class Relation:
     """
 
     def __init__(self, name: str, columns: Sequence[tuple[str, ColumnType, np.ndarray]]):
-        if not name:
-            raise RelStoreError("relation name must be non-empty")
+        check_relation_name(name, "relation", RelStoreError)
         attrs = [a for a, _, _ in columns]
         if len(set(attrs)) != len(attrs):
             raise RelStoreError(f"duplicate attribute names in relation {name!r}")
@@ -166,6 +165,14 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {self.n_rows} rows, {len(self.attrs)} attrs)"
+
+
+def check_relation_name(name: str, where: str, error: type[Exception]) -> None:
+    """Raise `error`, prefixed with `where`, unless `name` can name a relation:
+    it must be non-empty and hold no '.', because `split_ref` ends the
+    relation's part of a "Rel.Attr" reference at the first '.'."""
+    if not name or "." in name:
+        raise error(f"{where}: name {name!r} is empty or contains '.', the 'Rel.Attr' separator")
 
 
 def split_ref(ref: str) -> tuple[str, str]:
@@ -254,19 +261,20 @@ class SchemaCatalog:
         return stable_hash(self.describe())
 
     @cached_property
-    def join_values(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per join pair, the full columns of both sides on one comparable scale.
+    def join_codes(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Per join pair, dense integer key codes of both sides and the code count.
 
-        Numerical sides are float64. Categorical codes of the right side are
-        remapped into the left side's domain (-1 for values absent there,
-        which can never compare equal).
+        The codes are the ranks of each side's values in the sorted union of
+        both sides, so they keep equality and order. Categorical codes of the
+        right side are first remapped into the left side's domain (-1 for
+        values absent there, which never equal a left value).
         """
         out = []
         for left, right in self.join_pairs:
             lrel, lattr = split_ref(left)
             rrel, rattr = split_ref(right)
-            lcol = self.relation(lrel).column(lattr)
-            rcol = self.relation(rrel).column(rattr)
+            lvals = self.relation(lrel).column(lattr)
+            rvals = self.relation(rrel).column(rattr)
             ltype = self.resolve(left)
             if isinstance(ltype, CategoricalType):
                 rtype = self.resolve(right)
@@ -274,25 +282,8 @@ class SchemaCatalog:
                     [ltype.values.index(v) if v in ltype.values else -1 for v in rtype.values],
                     dtype=np.int64,
                 )
-                lvals, rvals = lcol.astype(np.int64), remap[rcol]
-            else:
-                lvals, rvals = lcol.astype(np.float64, copy=False), rcol.astype(np.float64, copy=False)
-            lvals.flags.writeable = rvals.flags.writeable = False
-            out.append((lvals, rvals))
-        return tuple(out)
-
-    @cached_property
-    def join_codes(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """Per join pair, dense integer key codes of both sides and the code count.
-
-        Two rows' codes are equal exactly when their `join_values` compare
-        equal (NaNs get distinct codes, as they never compare equal).
-        """
-        out = []
-        for lvals, rvals in self.join_values:
-            keys, codes = np.unique(
-                np.concatenate([lvals, rvals]), return_inverse=True, equal_nan=False
-            )
+                lvals, rvals = lvals.astype(np.int64), remap[rvals]
+            keys, codes = np.unique(np.concatenate([lvals, rvals]), return_inverse=True)
             codes.flags.writeable = False
             out.append((codes[: lvals.size], codes[lvals.size :], keys.size))
         return tuple(out)
@@ -331,6 +322,8 @@ def ingest_csv(path, schema: Mapping[str, str], name: str | None = None) -> Rela
     categorical ones. Empty cells are rejected (no NULL support).
     """
     path = Path(path)
+    name = name or path.stem
+    check_relation_name(name, f"{path}: relation", IngestError)
     for col, kind in schema.items():
         if kind not in _KINDS:
             raise IngestError(f"column {col!r}: unknown kind {kind!r}")
@@ -384,7 +377,7 @@ def ingest_csv(path, schema: Mapping[str, str], name: str | None = None) -> Rela
             columns.append((col, ctype, arr))
         else:
             columns.append((col, *_categorical_column(raw[col])))
-    return Relation(name or path.stem, columns)
+    return Relation(name, columns)
 
 
 def _categorical_column(values: Sequence[str]) -> tuple[CategoricalType, np.ndarray]:
@@ -451,9 +444,9 @@ def load_catalog_file(path) -> SchemaCatalog:
     join_pairs = _join_pairs(doc.get("join_pairs", []), path, CatalogError)
     relations = []
     for i, entry in enumerate(doc["relations"]):
-        artifact.check_fields(
-            entry, f"{path}: relation entry {i}", CatalogError, {"name": str, "csv": str, "schema": str}
-        )
+        where = f"{path}: relation entry {i}"
+        artifact.check_fields(entry, where, CatalogError, {"name": str, "csv": str, "schema": str})
+        check_relation_name(entry["name"], where, CatalogError)
         _, schema = load_schema(path.parent / entry["schema"])
         relations.append(ingest_csv(path.parent / entry["csv"], schema, name=entry["name"]))
     return SchemaCatalog(tuple(relations), tuple(map(tuple, join_pairs)))
@@ -465,8 +458,8 @@ def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
     Layout: {"relations": [{"name", "rows", "columns"}...],
              "join_pairs": [["R1.A", "R2.A"], ...]}; a relation without a
     name is called rel<i>. Each name becomes the stem of the relation's files,
-    so it must be a plain file name, and unique. `synth_relation` checks the
-    column specs.
+    so it must be a plain file name, and unique, and as a relation name it
+    holds no '.'. `synth_relation` checks the column specs.
     """
     doc = artifact.check_fields(
         artifact.read_json(path, IngestError), path, IngestError, {"relations": list}, {"join_pairs": list}
@@ -478,6 +471,7 @@ def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
         name = rel.get("name", f"rel{i}")
         if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
             raise IngestError(f"{where}: name {name!r} is not a plain file name")
+        check_relation_name(name, where, IngestError)
         if name in (r[0] for r in relations):
             raise IngestError(f"{where}: name {name!r} repeats an earlier relation's")
         relations.append((name, rel["rows"], rel["columns"]))

@@ -218,8 +218,9 @@ def split(
     """
     if len(fractions) != 3:
         raise WorkloadError("fractions must be a (train, valid, test) triple")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise WorkloadError(f"fractions {fractions} must be non-negative and sum to 1")
+    # written so that NaN, which compares false, fails it
+    if not all(0.0 <= f <= 1.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise WorkloadError(f"fractions {fractions} must lie in [0, 1] and sum to 1")
 
     strata: dict[int, list[int]] = {}
     for idx, item in enumerate(workload.items):

@@ -22,11 +22,11 @@ def _model(path):
 
     def load(p):
         loaded = gp.load(p)
-        return [loaded.X_train, loaded.y_log, loaded.chol, loaded.alpha]
+        return [loaded.X_train, loaded.y_log, loaded.chol, loaded.w]
 
     # the factor is stored as its lower triangle: N (N + 1) / 2 values
     sizes = [N * D * 8, N * 8, N * (N + 1) // 2 * 8, N * 8]
-    return load, ModelIOError, [est.X_train, est.y_log, est.chol, est.alpha], sizes
+    return load, ModelIOError, [est.X_train, est.y_log, est.chol, est.w], sizes
 
 
 def _encoded(with_ids, with_targets):

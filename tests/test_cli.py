@@ -303,6 +303,15 @@ class TestGuards:
         assert error["error"] == "IngestError"
         assert str(tmp_path / "spec.json") in error["message"] and "'rows'" in error["message"]
 
+    @pytest.mark.parametrize("fractions", ["nan,0.5,0.5", "0.5,inf,0.5"])
+    def test_label_rejects_non_finite_split(self, pipeline_dir, tmp_path, capsys, fractions):
+        root, catalog = pipeline_dir
+        argv = ["label", "--catalog", catalog, "--queries", root / "qs.jsonl", "--out", tmp_path / "l.jsonl",
+                "--split", fractions, "--split-out-prefix", tmp_path / "l"]
+        assert cli.main([str(a) for a in argv]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "WorkloadError" and "must lie in [0, 1]" in error["message"], error
+
     def test_catalog_entry_without_schema_is_structured_error(self, pipeline_dir, tmp_path, capsys):
         root, catalog = pipeline_dir
         doc = json.loads(catalog.read_text(encoding="utf-8"))
@@ -527,6 +536,7 @@ class TestInputDocuments:
             pytest.param(["r", "a/b"], "relation 1: name 'a/b' is not a plain file name", id="subdir"),
             pytest.param(["a\\b"], "relation 0: name ", id="backslash"),
             pytest.param(["."], "relation 0: name '.' is not a plain file name", id="dot"),
+            pytest.param(["a.b"], "relation 0: name 'a.b' is empty or contains '.'", id="dot-in-name"),
             pytest.param([""], "relation 0: name '' is not a plain file name", id="empty"),
             pytest.param(["r", "s", "r"], "relation 2: name 'r' repeats", id="repeated"),
             pytest.param(["rel1", None], "relation 1: name 'rel1' repeats", id="repeats-a-default-name"),
@@ -624,6 +634,26 @@ class TestActiveLearnCommand:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "QueryError" and "outside domain" in error["message"]
         assert not (tmp_path / "al.json").exists()
+
+
+class TestRelationNameWithADot:
+    """A relation name holds no '.', so every command that names a relation rejects 'a.b'."""
+
+    def test_catalog_entry(self, pipeline_dir, tmp_path, capsys):
+        _, catalog = pipeline_dir
+        doc = json.loads(catalog.read_text(encoding="utf-8"))
+        doc["relations"][0]["name"] = "a.b"
+        bad = catalog.parent / "dotted_catalog.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        fails_naming(capsys, bad, ["gen-queries", "--catalog", bad, "--mode", "join", "--n", 5,
+                                   "--out", tmp_path / "q.jsonl"], "CatalogError")
+        assert not (tmp_path / "q.jsonl").exists()
+
+    def test_ingest_name(self, pipeline_dir, capsys):
+        root, _ = pipeline_dir
+        csv = root / "data" / "grp.csv"
+        fails_naming(capsys, csv, ["ingest", "--csv", csv, "--schema", root / "data" / "grp.schema.json",
+                                   "--name", "a.b"], "IngestError")
 
 
 class TestMisc:

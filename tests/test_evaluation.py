@@ -293,6 +293,31 @@ class TestActiveLearn:
             active_learn(Xtr, ytr, Xpo, ypo, Xte, cte, KernelConfig(), iterations=3, k=30)
 
     @pytest.mark.parametrize(
+        "which, bad, match",
+        [
+            ("y_pool_log", lambda a: a[:-1], r"y_pool_log has shape \(79,\), expected \(80,\)"),
+            ("test_cards", lambda a: a[:-1], r"test_cards has shape \(39,\), expected \(40,\)"),
+            ("X_pool", lambda a: a[:, :-1], r"X_pool has shape \(80, 5\), expected \(80, 6\)"),
+            ("X_test", lambda a: a[0], r"X_test has shape \(6,\)"),
+            ("X_pool", lambda a: np.where(np.arange(len(a))[:, None] == 7, np.nan, a), "X_pool contains non-finite"),
+            ("y_pool_log", lambda a: np.where(np.arange(len(a)) == 7, np.inf, a), "y_pool_log contains non-finite"),
+            ("X_test", lambda a: np.where(np.arange(len(a))[:, None] == 7, np.inf, a), "X_test contains non-finite"),
+            ("test_cards", lambda a: np.where(np.arange(len(a)) == 7, np.nan, a), "test_cards contains non-finite"),
+        ],
+    )
+    def test_bad_inputs_rejected_before_the_fit(self, al_data, monkeypatch, which, bad, match):
+        names = ("X_train", "y_train_log", "X_pool", "y_pool_log", "X_test", "test_cards")
+        inputs = dict(zip(names, al_data))
+        inputs[which] = bad(inputs[which])
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("active_learn fit before it checked its inputs")
+
+        monkeypatch.setattr(gp, "fit", no_fit)
+        with pytest.raises(ValueError, match=match):
+            active_learn(**inputs, config=KernelConfig(), iterations=2, k=10)
+
+    @pytest.mark.parametrize(
         "cfg", [KernelConfig(), KernelConfig(activation="erf", depth=2), KernelConfig(kernel_family="rbf")]
     )
     def test_matches_full_refit_reference(self, al_data, cfg):
@@ -303,7 +328,7 @@ class TestActiveLearn:
             assert np.array_equal(got, want)
         np.testing.assert_allclose(res.mse_history, history, rtol=1e-9)
         np.testing.assert_allclose(res.estimator.chol, est.chol, rtol=0, atol=1e-10 * np.abs(est.chol).max())
-        np.testing.assert_allclose(res.estimator.alpha, est.alpha, rtol=0, atol=1e-8 * np.abs(est.alpha).max())
+        np.testing.assert_allclose(res.estimator.w, est.w, rtol=0, atol=1e-8 * np.abs(est.w).max())
 
     def test_failed_append_refits_and_is_counted(self, al_data):
         Xtr, ytr, Xpo, ypo, Xte, cte = al_data

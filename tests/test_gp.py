@@ -173,7 +173,7 @@ class TestExtend:
         assert grown.jitter == union.jitter == 0.0
         assert grown.layout_hash == "h" and np.array_equal(grown.X_train, X)
         assert _rel(grown.chol, union.chol) < 1e-8
-        assert _rel(grown.alpha, union.alpha) < 1e-8
+        assert _rel(grown.w, union.w) < 1e-8
         p_grown, p_union = gp.predict(grown, probe), gp.predict(union, probe)
         assert _rel(p_grown.mean_log, p_union.mean_log) < 1e-8
         assert _rel(p_grown.var_log, p_union.var_log) < 1e-8
@@ -203,7 +203,7 @@ class TestExtend:
         union = gp.fit(np.vstack([X_old, X_new]), np.concatenate([est.y_log, np.full(8, 5.0)]), cfg)
         assert est.jitter == 0.0 and grown.jitter > 0.0
         assert np.array_equal(grown.chol, union.chol)
-        assert np.array_equal(grown.alpha, union.alpha)
+        assert np.array_equal(grown.w, union.w)
 
     @pytest.mark.parametrize(
         "X_new, y_new, match",
@@ -219,6 +219,38 @@ class TestExtend:
         est = gp.fit(*small_data, KernelConfig())
         with pytest.raises(FitError, match=match):
             gp.extend(est, X_new, y_new)
+
+
+class TestWhitened:
+    def test_batch_posterior_is_predicts(self):
+        # 700 queries: predict whitens them in two pieces, the batch in one buffer
+        rng = np.random.default_rng(30)
+        est = gp.fit(rng.uniform(0, 1, (300, 6)), rng.uniform(0, 8, 300), KernelConfig())
+        X = rng.uniform(0, 1, (700, 6))
+        got, want = gp.Whitened(X, 300, est).predict(est), gp.predict(est, X)
+        for field in ("mean_log", "var_log", "cov"):
+            values = getattr(want, field)
+            np.testing.assert_allclose(getattr(got, field), values, rtol=0, atol=1e-12 * np.abs(values).max())
+
+    @pytest.mark.parametrize("noise_sq, appended", [(1e-3, True), (0.0, False)])
+    def test_extend_grows_or_rebuilds_the_batches(self, noise_sq, appended):
+        # with zero noise, copies of training rows make the Schur complement
+        # singular, so the model is refit and each batch whitened again
+        rng = np.random.default_rng(31)
+        X, y = rng.uniform(0, 1, (80, 6)), rng.uniform(0, 8, 80)
+        X_new = np.vstack([rng.uniform(0, 1, (7, 6)), X[:3]])
+        y_new = np.concatenate([rng.uniform(0, 8, 7), y[:3]])
+        est = gp.fit(X, y, KernelConfig(noise_sq=noise_sq))
+        batches = [gp.Whitened(rng.uniform(0, 1, (m, 6)), 90, est) for m in (40, 25)]
+        batches[1].drop(np.array([0, 5, 24]))
+        grown, did_append = gp.extend_whitened(est, X_new, y_new, batches)
+        assert did_append is appended
+        assert np.array_equal(grown.chol, gp.extend(est, X_new, y_new).chol)
+        for batch in batches:
+            got, want = batch.predict(grown), gp.predict(grown, batch.X[batch.cols])
+            for field in ("mean_log", "var_log"):
+                values = getattr(want, field)
+                np.testing.assert_allclose(getattr(got, field), values, rtol=0, atol=1e-9 * np.abs(values).max())
 
 
 class TestPredict:
@@ -310,6 +342,15 @@ class TestPredict:
         est = gp.fit(X, y, KernelConfig())
         with pytest.raises(ModelIOError, match="dimension"):
             gp.predict(est, np.zeros((1, X.shape[1] + 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, small_data, bad):
+        X, y = small_data
+        est = gp.fit(X, y, KernelConfig())
+        X_test = X[:3].copy()
+        X_test[1, 2] = bad
+        with pytest.raises(ModelIOError, match="non-finite"):
+            gp.predict(est, X_test)
 
     def test_predictive_noise_flag_adds_nugget(self, small_data):
         X, y = small_data
@@ -455,10 +496,10 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(loaded.chol, est.chol) and np.array_equal(loaded.alpha, est.alpha)
+        assert np.array_equal(loaded.chol, est.chol) and np.array_equal(loaded.w, est.w)
         # the file holds only the factor's lower triangle, so the arrays the
         # load returns, not the file, are the memory it must hold
-        returned = sum(a.nbytes for a in (loaded.X_train, loaded.y_log, loaded.chol, loaded.alpha))
+        returned = sum(a.nbytes for a in (loaded.X_train, loaded.y_log, loaded.chol, loaded.w))
         assert peak <= 1.3 * returned
 
     def test_packed_round_trip_is_bit_identical(self, model_3000):
@@ -513,10 +554,26 @@ class TestPersistence:
             "format": gp.MODEL_FORMAT, "version": 3, "config": est.config.to_dict(),
             "layout_hash": "", "n": n, "d_enc": d, "jitter": est.jitter,
         }
-        header.update({key: artifact.payload_hash(a.shape, [a]) for (_, key, _), a in zip(gp._PAYLOADS, payloads)})
+        keys = ("train_hash", "target_hash", "chol_hash", "alpha_hash")
+        header.update({key: artifact.payload_hash(a.shape, [a]) for key, a in zip(keys, payloads)})
         path = tmp_path / "model.bin"
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(a.tobytes() for a in payloads))
         with pytest.raises(ModelIOError, match="unsupported model version 3"):
+            gp.load(path)
+
+    def test_version_4_file_rejected(self, tmp_path, small_data):
+        """A file in the version-4 layout: this version's payloads, with alpha where w is."""
+        X, y = small_data
+        est = gp.fit(X, y, KernelConfig())
+        header = {
+            "format": gp.MODEL_FORMAT, "version": 4, "config": est.config.to_dict(),
+            "layout_hash": "", "n": len(X), "d_enc": X.shape[1], "jitter": est.jitter,
+        }
+        lower = [est.chol[j:, j] for j in range(len(X))]
+        arrays = (("train_hash", est.X_train), ("target_hash", est.y_log), ("chol_hash", lower), ("alpha_hash", est.alpha))
+        path = tmp_path / "model.bin"
+        artifact.write(path, header, [(key, a, np.float64) for key, a in arrays])
+        with pytest.raises(ModelIOError, match="unsupported model version 4"):
             gp.load(path)
 
     def test_flipped_noise_in_header_rejected(self, tmp_path, small_data):
@@ -538,7 +595,7 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="missing or corrupt header"):
             gp.load(path)
 
-    @pytest.mark.parametrize("region", ["chol", "alpha"])
+    @pytest.mark.parametrize("region", ["chol", "w"])
     def test_flipped_payload_byte_rejected(self, tmp_path, small_data, region):
         X, y = small_data
         n, d = X.shape
@@ -546,12 +603,12 @@ class TestPersistence:
         gp.save(gp.fit(X, y, KernelConfig()), path)
         gp.load(path)
         # payload order: X_train, y_log, chol (lower triangle by columns,
-        # n (n + 1) / 2 values), alpha (n)
+        # n (n + 1) / 2 values), w (n)
         chol_start = (n * d + n) * 8
         j = n // 2  # column j starts after sum_{i < j} (n - i) values; its first is the diagonal
         offset = {
             "chol": chol_start + (j * n - j * (j - 1) // 2) * 8 + 3,  # a diagonal entry
-            "alpha": chol_start + n * (n + 1) // 2 * 8 + 8 + 3,
+            "w": chol_start + n * (n + 1) // 2 * 8 + 8 + 3,
         }[region]
         data = bytearray(path.read_bytes())
         data[data.index(b"\n") + 1 + offset] ^= 0x01

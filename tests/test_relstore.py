@@ -1,5 +1,7 @@
 """Relational store: ingestion contracts, domains, catalogs, synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,32 @@ class TestIngest:
         p = write_csv(tmp_path / "r.csv", "x\n1\n")
         with pytest.raises(IngestError, match="unknown kind"):
             ingest_csv(p, {"x": "text"})
+
+
+class TestRelationNames:
+    """A name is non-empty and holds no '.', which ends the relation's part of "Rel.Attr"."""
+
+    @pytest.mark.parametrize("name", ["", "a.b", "."])
+    def test_relation_rejects_the_name(self, name):
+        with pytest.raises(RelStoreError, match="empty or contains '.'"):
+            Relation(name, [("x", NumericalType(0.0, 1.0), np.array([0.5]))])
+
+    def test_ingest_names_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv", "x\n1\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: relation: name 'a.b'"):
+            ingest_csv(p, {"x": "numerical"}, name="a.b")
+        # without a name the file stem names the relation
+        p = write_csv(tmp_path / "a.b.csv", "x\n1\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(p))}: relation: name 'a.b'"):
+            ingest_csv(p, {"x": "numerical"})
+
+    def test_catalog_entry_names_the_file(self, tmp_path):
+        write_csv(tmp_path / "r.csv", "x\n1\n")
+        (tmp_path / "r.schema.json").write_text('{"columns": {"x": "numerical"}}', encoding="utf-8")
+        path = tmp_path / "catalog.json"
+        path.write_text('{"relations": [{"name": "a.b", "csv": "r.csv", "schema": "r.schema.json"}]}', encoding="utf-8")
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: relation entry 0: name 'a.b'"):
+            load_catalog_file(path)
 
 
 class TestRoundTrip:

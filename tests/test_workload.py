@@ -254,6 +254,13 @@ class TestSplit:
         with pytest.raises(WorkloadError, match="triple"):
             split(_dummy_workload(10), (0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize(
+        "fractions", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (float("inf"), 0.5, 0.5), (-0.5, 1.0, 0.5)]
+    )
+    def test_non_finite_or_negative_fractions(self, fractions):
+        with pytest.raises(WorkloadError, match=r"must lie in \[0, 1\]"):
+            split(_dummy_workload(10), fractions, seed=0)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, relation):
