@@ -33,6 +33,7 @@ from .queries import QueryError, read_queries_jsonl, write_queries_jsonl
 from .relstore import (
     IngestError,
     RelStoreError,
+    build_catalog,
     export_csv,
     ingest_csv,
     load_catalog_file,
@@ -164,16 +165,20 @@ def _header(args, command: str, config: dict | None = None, inputs: dict | None 
 
 
 def cmd_synth(args) -> int:
-    relations, join_pairs = load_spec(args.spec)
+    specs, join_pairs = load_spec(args.spec)
+    relations = []
+    for i, (name, rows, columns) in enumerate(specs):
+        try:
+            relations.append(synth_relation(args.seed + i, rows, columns, name=name))
+        except RelStoreError as exc:
+            raise IngestError(f"{args.spec}: relation {i}: {exc}") from None
+    build_catalog(relations, join_pairs, args.spec, IngestError)  # nothing is written before this check
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
-    for i, (name, rows, columns) in enumerate(relations):
-        try:
-            relation = synth_relation(args.seed + i, rows, columns, name=name)
-        except RelStoreError as exc:
-            raise IngestError(f"{args.spec}: relation {i}: {exc}") from None
+    for relation in relations:
+        name = relation.name
         export_csv(relation, out_dir / f"{name}.csv")
         save_schema(relation, out_dir / f"{name}.schema.json")
         entries.append({"name": name, "csv": f"{name}.csv", "schema": f"{name}.schema.json"})
@@ -182,7 +187,6 @@ def cmd_synth(args) -> int:
     catalog_doc = {"relations": entries, "join_pairs": join_pairs}
     catalog_path = out_dir / "catalog.json"
     _write_json(catalog_path, catalog_doc)
-    load_catalog_file(catalog_path)  # validates join pairs against the data
     print(_json_line({"catalog": str(catalog_path), "relations": [e["name"] for e in entries]}))
     return 0
 
@@ -201,26 +205,32 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(flag: str, text: str, kind: type = int, count: int | None = None) -> list:
+    """The comma-separated values of `flag`, each parsed by `kind`; `count` of them if given."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise CLIError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise CLIError(f"{flag} expects comma-separated {kind.__name__} values, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise CLIError(f"{flag} expects {count} comma-separated values, got {text!r}")
+    return values
 
 
 def cmd_gen_queries(args) -> int:
+    single = args.mode == "single"
+    counts = _parse_list("--d", args.d) if single else _parse_list("--t", args.t)
     catalog = load_catalog_file(args.catalog)
     queries = []
-    if args.mode == "single":
+    if single:
         names = [r.name for r in catalog.relations]
         rel_name = args.relation or (names[0] if len(names) == 1 else None)
         if rel_name is None:
             raise CLIError("--relation is required when the catalog has several relations")
         relation = catalog.relation(rel_name)
-        for i, d in enumerate(_parse_int_list(args.d)):
+        for i, d in enumerate(counts):
             queries.extend(workload.gen_single_relation(relation, d, args.n, args.seed + i))
     else:
-        for i, t in enumerate(_parse_int_list(args.t)):
+        for i, t in enumerate(counts):
             queries.extend(
                 workload.gen_join(
                     catalog, t, args.n, args.seed + i, conds_per_relation=args.conds_per_relation
@@ -235,11 +245,14 @@ def cmd_gen_queries(args) -> int:
 
 
 def cmd_label(args) -> int:
+    fractions = tuple(_parse_list("--split", args.split, float, count=3)) if args.split else None
     catalog = load_catalog_file(args.catalog)
     items, _ = read_queries_jsonl(args.queries)
     # One oracle thread: the thread pool gains nothing on 2 cores (perfbench's join-pipeline
     # `oracle.pool_speedup`, one thread's time over the pool's, read 0.62-1.04).
     labeled = workload.finalize([q for q, _ in items], catalog, threads=1)
+    # split before the first write, so a bad split leaves no file behind
+    parts = workload.split(labeled, fractions, seed=args.split_seed) if fractions else None
     header = _header(
         args, "label", inputs={"catalog": _hash_file(args.catalog), "queries": _hash_file(args.queries)}
     )
@@ -248,11 +261,8 @@ def cmd_label(args) -> int:
     log.info("labeled %d of %d queries -> %s", len(labeled), len(items), args.out)
 
     summary = {"out": args.out, "n_raw": len(items), "n_labeled": len(labeled)}
-    if args.split:
-        fractions = tuple(float(f) for f in args.split.split(","))
-        if len(fractions) != 3:
-            raise CLIError("--split expects three comma-separated fractions")
-        train, valid, test, report = workload.split(labeled, fractions, seed=args.split_seed)
+    if parts:
+        train, valid, test, report = parts
         prefix = args.split_out_prefix or str(Path(args.out).with_suffix(""))
         for part, name in ((train, "train"), (valid, "valid"), (test, "test")):
             part_header = dict(header)

@@ -138,7 +138,6 @@ class UncertaintyReport:
 
     cov: np.ndarray
     q_error: np.ndarray
-    abs_log_q_error: np.ndarray
     spearman_cov_vs_log_q: float | None
     stats: QErrorStats
     ids: np.ndarray
@@ -181,7 +180,6 @@ def uncertainty_error_report(
     return UncertaintyReport(
         cov=prediction.cov,
         q_error=q,
-        abs_log_q_error=log_q,
         spearman_cov_vs_log_q=spearman(prediction.cov, log_q),
         stats=QErrorStats.from_errors(q, n_conditions),
         ids=np.asarray(ids, dtype=np.int64),

@@ -242,7 +242,6 @@ def predict(
     X_test: np.ndarray,
     delta: float = 0.95,
     layout_hash: str | None = None,
-    predictive_noise: bool = False,
 ) -> Prediction:
     """Predictive mean/variance plus interval, CoV and count-space estimate.
 
@@ -252,9 +251,6 @@ def predict(
         Coverage of the central interval mean +- z * std; must lie in (0, 1).
     layout_hash : str, optional
         When given, must match the hash recorded at fit time.
-    predictive_noise : bool
-        Add the observation noise to the returned variances (default reports
-        the latent-function variance).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -277,13 +273,12 @@ def predict(
         empty = np.zeros(0, dtype=np.float64)
         return Prediction(empty, empty, empty, empty, empty, empty, delta)
 
-    noise = estimator.config.noise_sq if predictive_noise else 0.0
     mean, explained = np.empty(len(X_test)), np.empty(len(X_test))
     for lo in range(0, len(X_test), _WHITEN_COLS):
         piece = slice(lo, lo + _WHITEN_COLS)
         # the piece is freed before the next one is built
         mean[piece], explained[piece] = _moments(_whiten(estimator, X_test[piece]), estimator.w)
-    return _summarize(mean, kernel_diag(X_test, estimator.config), explained, delta, noise)
+    return _summarize(mean, kernel_diag(X_test, estimator.config), explained, delta)
 
 
 def _whiten(estimator: CardinalityEstimator, X: np.ndarray) -> np.ndarray:
@@ -301,11 +296,11 @@ def _moments(v: np.ndarray, w: np.ndarray) -> tuple:
     return v.T @ w, np.einsum("ij,ij->j", v, v)
 
 
-def _summarize(mean, prior_var, explained, delta, noise=0.0) -> Prediction:
+def _summarize(mean, prior_var, explained, delta) -> Prediction:
     """Posterior summaries from the mean, the prior variances and the variance
     the training data explains: the latent variance prior - explained,
-    clamped at zero, plus `noise`."""
-    var = np.maximum(prior_var - explained, 0.0) + noise
+    clamped at zero."""
+    var = np.maximum(prior_var - explained, 0.0)
     ci_low, ci_high = _interval(mean, var, delta)
     cov = _coefficient_of_variation(mean, var)
     card = np.maximum(1.0, np.exp(np.minimum(mean, 700.0)))

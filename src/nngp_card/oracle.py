@@ -99,7 +99,6 @@ def execute_batch(
     queries: Sequence[Query],
     catalog: SchemaCatalog,
     threads: int | None = None,
-    strategy: str = "auto",
 ) -> list[int]:
     """Element-wise `execute` with order preserved.
 
@@ -115,7 +114,7 @@ def execute_batch(
         labels = []
         for idx in range(lo, hi):
             try:
-                labels.append(execute(queries[idx], catalog, strategy))
+                labels.append(execute(queries[idx], catalog))
             except QueryError as exc:
                 raise QueryError(f"query {idx}: {exc}") from None
         return labels

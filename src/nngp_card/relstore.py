@@ -423,13 +423,6 @@ def load_schema(path) -> tuple[str, dict[str, str]]:
     return doc.get("relation", ""), doc["columns"]
 
 
-def _join_pairs(pairs: list, where, error: type[Exception]) -> list[list[str]]:
-    for i, pair in enumerate(pairs):
-        if type(pair) is not list or len(pair) != 2 or not all(type(ref) is str for ref in pair):
-            raise error(f"{where}: join pair {i} must be an array of two strings, got {pair!r}")
-    return pairs
-
-
 def load_catalog_file(path) -> SchemaCatalog:
     """Build a catalog from a JSON file referencing relation CSVs and join pairs.
 
@@ -441,7 +434,6 @@ def load_catalog_file(path) -> SchemaCatalog:
     doc = artifact.check_fields(
         artifact.read_json(path, CatalogError), path, CatalogError, {"relations": list}, {"join_pairs": list}
     )
-    join_pairs = _join_pairs(doc.get("join_pairs", []), path, CatalogError)
     relations = []
     for i, entry in enumerate(doc["relations"]):
         where = f"{path}: relation entry {i}"
@@ -449,7 +441,18 @@ def load_catalog_file(path) -> SchemaCatalog:
         check_relation_name(entry["name"], where, CatalogError)
         _, schema = load_schema(path.parent / entry["schema"])
         relations.append(ingest_csv(path.parent / entry["csv"], schema, name=entry["name"]))
-    return SchemaCatalog(tuple(relations), tuple(map(tuple, join_pairs)))
+    return build_catalog(relations, doc.get("join_pairs", []), path, CatalogError)
+
+
+def build_catalog(relations: Sequence[Relation], join_pairs: list, where, error: type) -> SchemaCatalog:
+    """The catalog of `relations` and the `join_pairs` of document `where`; a bad pair raises `error` naming it."""
+    for i, pair in enumerate(join_pairs):
+        if type(pair) is not list or len(pair) != 2 or not all(type(ref) is str for ref in pair):
+            raise error(f"{where}: join pair {i} must be an array of two strings, got {pair!r}")
+    try:
+        return SchemaCatalog(tuple(relations), tuple(map(tuple, join_pairs)))
+    except RelStoreError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
@@ -459,7 +462,7 @@ def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
              "join_pairs": [["R1.A", "R2.A"], ...]}; a relation without a
     name is called rel<i>. Each name becomes the stem of the relation's files,
     so it must be a plain file name, and unique, and as a relation name it
-    holds no '.'. `synth_relation` checks the column specs.
+    holds no '.'. `synth_relation` checks the column specs, `build_catalog` the join pairs.
     """
     doc = artifact.check_fields(
         artifact.read_json(path, IngestError), path, IngestError, {"relations": list}, {"join_pairs": list}
@@ -471,11 +474,12 @@ def load_spec(path) -> tuple[list[tuple[str, int, list]], list[list[str]]]:
         name = rel.get("name", f"rel{i}")
         if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
             raise IngestError(f"{where}: name {name!r} is not a plain file name")
+        _check_utf8(name, f"{where}: name")
         check_relation_name(name, where, IngestError)
         if name in (r[0] for r in relations):
             raise IngestError(f"{where}: name {name!r} repeats an earlier relation's")
         relations.append((name, rel["rows"], rel["columns"]))
-    return relations, _join_pairs(doc.get("join_pairs", []), path, IngestError)
+    return relations, doc.get("join_pairs", [])
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +531,7 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             raise IngestError("column spec missing 'name'")
         if not isinstance(col, str):
             raise IngestError(f"column name must be a string, got {col!r}")
+        _check_utf8(col, "column name")
         if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
             raise IngestError(f"column {col!r}: unknown generator kind {kind!r}")
         unknown = sorted(set(spec) - {"name", "kind"} - _GENERATOR_KEYS[kind])
@@ -585,6 +590,12 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             values = _spec_list(spec, col, "values")
             if not values:
                 raise IngestError(f"column {col!r}: categorical needs values")
+            labels = [str(v) for v in values]
+            for label in labels:
+                # a CSV reads an empty value back as an empty cell, which `ingest_csv` rejects
+                if label == "":
+                    raise IngestError(f"column {col!r}: categorical values must be non-empty")
+                _check_utf8(label, f"column {col!r}: categorical value")
             p = None
             if "weights" in spec:
                 p = np.asarray([_spec_real(w, col, "weights") for w in _spec_list(spec, col, "weights")])
@@ -592,7 +603,6 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
                     raise IngestError(f"column {col!r}: bad categorical weights")
                 p = p / p.sum()
             picks = rng.choice(len(values), p=p, size=n_rows)
-            labels = [str(v) for v in values]
             built.append((col, *_categorical_column([labels[i] for i in picks])))
             continue
 
@@ -601,6 +611,15 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
         built.append((col, NumericalType(float(vals.min()), float(vals.max())), vals))
 
     return Relation(name, built)
+
+
+def _check_utf8(text: str, what: str) -> None:
+    """Raise IngestError, naming `what`, unless `text` can be written as UTF-8:
+    a lone surrogate, which JSON's \\u escapes can spell, cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise IngestError(f"{what} {text!r} cannot be encoded as UTF-8") from None
 
 
 def _spec_floats(spec: Mapping, col: str, *keys: str) -> list[float]:

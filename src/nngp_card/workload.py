@@ -135,6 +135,8 @@ def gen_join(
         raise WorkloadError(f"t={t} out of range [0, {len(catalog.relations) - 1}]")
     if t > len(catalog.join_pairs):
         raise WorkloadError(f"t={t} exceeds the {len(catalog.join_pairs)} registered join pairs")
+    if conds_per_relation < 0:
+        raise WorkloadError(f"conds_per_relation must be >= 0, got {conds_per_relation}")
 
     rng = np.random.default_rng(seed)
     names = [r.name for r in catalog.relations]

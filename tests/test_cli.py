@@ -5,11 +5,12 @@ import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nngp_card import artifact, cli
+from nngp_card import artifact, cli, relstore
 from nngp_card.kernel import KernelConfig
 from nngp_card.queries import Query, RangeFilter
 from nngp_card.workload import WorkloadItem, load_workload, save_workload
@@ -308,9 +309,37 @@ class TestGuards:
         root, catalog = pipeline_dir
         argv = ["label", "--catalog", catalog, "--queries", root / "qs.jsonl", "--out", tmp_path / "l.jsonl",
                 "--split", fractions, "--split-out-prefix", tmp_path / "l"]
-        assert cli.main([str(a) for a in argv]) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["error"] == "WorkloadError" and "must lie in [0, 1]" in error["message"], error
+        fails_naming(capsys, "must lie in [0, 1]", argv, "WorkloadError")
+
+    @pytest.mark.parametrize(
+        "fractions, error, named",
+        [
+            pytest.param("a,0.5,0.5", "usage", "--split expects comma-separated float values", id="non-number"),
+            pytest.param("0.5,0.5", "usage", "--split expects 3 comma-separated values", id="two-values"),
+            pytest.param("0.5,0.6,0.2", "WorkloadError", "sum to 1", id="sum-above-one"),
+        ],
+    )
+    def test_label_rejects_bad_split(self, pipeline_dir, tmp_path, capsys, fractions, error, named):
+        # a bad split leaves no --out file: it is parsed first and run before the first write
+        root, catalog = pipeline_dir
+        argv = ["label", "--catalog", catalog, "--queries", root / "qs.jsonl", "--out", tmp_path / "l.jsonl",
+                "--split", fractions]
+        fails_naming(capsys, named, argv, error)
+
+    @pytest.mark.parametrize(
+        "flags, error, named",
+        [
+            pytest.param(["--mode", "join", "--conds-per-relation", -1], "WorkloadError",
+                         "conds_per_relation must be >= 0, got -1", id="negative-conds-per-relation"),
+            pytest.param(["--mode", "join", "--t", "0,x"], "usage", "--t expects", id="non-integer-t"),
+            pytest.param(["--mode", "single", "--relation", "emp", "--d", "2.5"], "usage", "--d expects",
+                         id="non-integer-d"),
+        ],
+    )
+    def test_gen_queries_rejects_bad_flags(self, pipeline_dir, tmp_path, capsys, flags, error, named):
+        _, catalog = pipeline_dir
+        argv = ["gen-queries", "--catalog", catalog, "--n", 5, "--out", tmp_path / "q.jsonl", *flags]
+        fails_naming(capsys, named, argv, error)
 
     def test_catalog_entry_without_schema_is_structured_error(self, pipeline_dir, tmp_path, capsys):
         root, catalog = pipeline_dir
@@ -449,16 +478,32 @@ class TestGuards:
             assert {f.name: getattr(args, f.name) for f in fields} == KernelConfig().to_dict(), command[0]
 
 
-def fails_naming(capsys, path, argv, error) -> None:
-    """`argv` exits 1 with one JSON error line of type `error` that names `path`."""
+def _snapshot(argv) -> dict:
+    """Every file and directory under the directories that hold `argv`'s paths (a path
+    that does not exist counts by its nearest existing ancestor), with each file's bytes."""
+    roots = {next(p for p in (a, *a.parents) if p.is_dir()) for a in argv if isinstance(a, Path)}
+    return {p: p.read_bytes() if p.is_file() else None for root in roots for p in root.rglob("*")}
+
+
+def fails_naming(capsys, named, argv, error) -> dict:
+    """`argv` exits 1 with one JSON error line of type `error` that names `named`
+    (a file or a flag), and writes nothing: the files under the directories of
+    its paths are the same before and after. Returns the error line's object."""
+    before = _snapshot(argv)
     assert cli.main([str(a) for a in argv]) == 1
     lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert len(lines) == 1, lines
     doc = json.loads(lines[0])
-    assert doc["error"] == error and str(path) in doc["message"], doc
+    assert doc["error"] == error and str(named) in doc["message"], doc
+    after = _snapshot(argv)
+    assert after.keys() == before.keys(), sorted(map(str, after.keys() ^ before.keys()))
+    assert [p for p in after if after[p] != before[p]] == []
+    return doc
 
 
 COLUMN = '{"name": "x", "kind": "uniform", "lo": 0, "hi": 1}'
+R = {"name": "r", "rows": 5, "columns": [json.loads(COLUMN), {"name": "y", "kind": "uniform", "lo": 0, "hi": 1}]}
+S = {"name": "s", "rows": 5, "columns": [json.loads(COLUMN)]}
 
 
 class TestInputDocuments:
@@ -530,6 +575,36 @@ class TestInputDocuments:
         fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d"], "IngestError")
 
     @pytest.mark.parametrize(
+        "relations, join_pairs, message",
+        [
+            pytest.param([R, S], [["r.x", "s.nope"]], "unknown attribute s.nope", id="join-pair-unknown-attribute"),
+            pytest.param([R, S], [["r.x", "r.y"]],
+                         "join pair (r.x, r.y) must reference two distinct relations; self-joins use a renamed copy",
+                         id="self-join-pair"),
+            pytest.param([R, dict(S, columns=[{"name": "x", "kind": "uniform", "lo": 1, "hi": 0}])], [],
+                         "relation 1: column 'x': uniform needs lo < hi", id="bad-column-in-second-relation"),
+            pytest.param([R, dict(S, columns=[{"name": "c", "kind": "categorical", "values": ["a", ""]}])], [],
+                         "relation 1: column 'c': categorical values must be non-empty", id="empty-categorical-value"),
+            pytest.param([R, dict(S, columns=[{"name": "c", "kind": "categorical", "values": ["a", "\ud800"]}])],
+                         [], "relation 1: column 'c': categorical value '\\ud800' cannot be encoded as UTF-8",
+                         id="lone-surrogate-value"),
+        ],
+    )
+    def test_spec_checked_before_writing(self, tmp_path, capsys, relations, join_pairs, message):
+        # every relation and join pair is checked before synth creates its --out-dir
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"relations": relations, "join_pairs": join_pairs}), encoding="utf-8")
+        doc = fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d"], "IngestError")
+        assert doc["message"] == f"{spec}: {message}", doc
+
+    def test_failed_synth_keeps_an_earlier_catalog(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC), encoding="utf-8")
+        run(["synth", "--spec", spec, "--out-dir", tmp_path / "d", "--seed", 3])
+        spec.write_text(json.dumps(dict(SPEC, join_pairs=[["emp.grp", "grp.nope"]])), encoding="utf-8")
+        fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d", "--seed", 4], "IngestError")
+
+    @pytest.mark.parametrize(
         "names, message",
         [
             pytest.param(["../escaped"], "relation 0: name '../escaped' is not a plain file name", id="parent-dir"),
@@ -540,6 +615,7 @@ class TestInputDocuments:
             pytest.param([""], "relation 0: name '' is not a plain file name", id="empty"),
             pytest.param(["r", "s", "r"], "relation 2: name 'r' repeats", id="repeated"),
             pytest.param(["rel1", None], "relation 1: name 'rel1' repeats", id="repeats-a-default-name"),
+            pytest.param(["\ud800"], "relation 0: name '\\ud800' cannot be encoded as UTF-8", id="lone-surrogate"),
         ],
     )
     def test_spec_relation_names(self, tmp_path, capsys, names, message):
@@ -567,9 +643,17 @@ class TestInputDocuments:
             pytest.param('{"relations": {}}', id="wrong-type-relations"),
             pytest.param('{"relations": [{"name": "r", "csv": 5, "schema": "s"}]}', id="wrong-type-csv"),
             pytest.param('{"relations": [], "join_pairs": [["r.a", 5]]}', id="wrong-type-join-pair"),
+            pytest.param('{"relations": [{"name": "r", "csv": "r.csv", "schema": "r.schema.json"}, '
+                         '{"name": "s", "csv": "r.csv", "schema": "r.schema.json"}], "join_pairs": [["r.a", "s.nope"]]}',
+                         id="join-pair-unknown-attribute"),
+            pytest.param('{"relations": [{"name": "r", "csv": "r.csv", "schema": "r.schema.json"}, '
+                         '{"name": "s", "csv": "r.csv", "schema": "r.schema.json"}], "join_pairs": [["r.a", "r.b"]]}',
+                         id="self-join-pair"),
         ],
     )
     def test_catalog(self, tmp_path, capsys, text):
+        (tmp_path / "r.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        (tmp_path / "r.schema.json").write_text('{"columns": {"a": "numerical", "b": "numerical"}}', encoding="utf-8")
         catalog = tmp_path / "catalog.json"
         catalog.write_text(text, encoding="utf-8")
         argv = ["gen-queries", "--catalog", catalog, "--mode", "join", "--n", 5, "--out", tmp_path / "q.jsonl"]
@@ -657,6 +741,19 @@ class TestRelationNameWithADot:
 
 
 class TestMisc:
+    def test_synth_reads_only_its_spec(self, tmp_path, monkeypatch):
+        # synth checks the catalog it builds in memory; it never parses back a file it wrote
+        def refuse(*args, **kwargs):
+            raise AssertionError("synth read back a file it wrote")
+
+        for module, name in ((cli, "load_catalog_file"), (cli, "ingest_csv"), (relstore, "ingest_csv")):
+            monkeypatch.setattr(module, name, refuse)
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+        run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", tmp_path / "d"])
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "catalog.json", "emp.csv", "emp.schema.json", "grp.csv", "grp.schema.json",
+        ]
+
     def test_ingest_reports_domains(self, pipeline_dir, capsys):
         root, _ = pipeline_dir
         out = run([

@@ -352,15 +352,6 @@ class TestPredict:
         with pytest.raises(ModelIOError, match="non-finite"):
             gp.predict(est, X_test)
 
-    def test_predictive_noise_flag_adds_nugget(self, small_data):
-        X, y = small_data
-        cfg = KernelConfig(noise_sq=0.2)
-        est = gp.fit(X, y, cfg)
-        Xt = X[:3] + 0.01
-        latent = gp.predict(est, Xt).var_log
-        noisy = gp.predict(est, Xt, predictive_noise=True).var_log
-        np.testing.assert_allclose(noisy - latent, 0.2, atol=1e-12)
-
     def test_rbf_family_trains_and_interpolates(self, small_data):
         X, y = small_data
         cfg = KernelConfig(kernel_family="rbf", length_scale=0.8, noise_sq=0.0)

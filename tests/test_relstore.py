@@ -1,5 +1,6 @@
 """Relational store: ingestion contracts, domains, catalogs, synthesis."""
 
+import json
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from nngp_card.relstore import (
     Relation,
     RelStoreError,
     SchemaCatalog,
+    build_catalog,
     export_csv,
     ingest_csv,
     load_catalog_file,
@@ -253,6 +255,29 @@ class TestCatalog:
         assert [r.name for r in catalog.relations] == ["r1", "r2"]
         assert catalog.join_pairs == (("r1.a", "r2.a"),)
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (["r1.a", "r2.nope"], "unknown attribute r2.nope"),
+            (["r1.a", "r1.b"], "must reference two distinct relations"),
+        ],
+    )
+    def test_bad_join_pair_names_the_document(self, tmp_path, pair, message):
+        rel1 = synth_relation(1, 30, self.TWO_COLUMNS, name="r1")
+        rel2 = synth_relation(2, 30, self.TWO_COLUMNS, name="r2")
+        with pytest.raises(IngestError, match=f"^spec.json: .*{message}"):
+            build_catalog((rel1, rel2), [pair], "spec.json", IngestError)
+        for rel in (rel1, rel2):
+            export_csv(rel, tmp_path / f"{rel.name}.csv")
+            save_schema(rel, tmp_path / f"{rel.name}.schema.json")
+        path = tmp_path / "catalog.json"
+        entries = [{"name": n, "csv": f"{n}.csv", "schema": f"{n}.schema.json"} for n in ("r1", "r2")]
+        path.write_text(json.dumps({"relations": entries, "join_pairs": [pair]}), encoding="utf-8")
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_catalog_file(path)
+
+    TWO_COLUMNS = [{"name": "a", "kind": "uniform", "lo": 0, "hi": 5}, {"name": "b", "kind": "uniform", "lo": 0, "hi": 5}]
+
 
 class TestSynth:
     UNIFORM2 = [
@@ -341,6 +366,11 @@ class TestSynth:
             (["x"], "column spec must be an object"),
             ([{"name": "x", "kind": "uniform_int", "lo": 0.5, "hi": 3}], "'x': uniform_int lo must be an integer"),
             ([{"name": "x", "kind": "uniform_int", "lo": 0, "hi": 2.5}], "'x': uniform_int hi must be an integer"),
+            # values a CSV cannot carry back: an empty cell, a string UTF-8 cannot encode
+            ([{"name": "x", "kind": "categorical", "values": ["a", ""]}], "'x': categorical values must be non-empty"),
+            ([{"name": "x", "kind": "categorical", "values": ["a", "\ud800"]}],
+             "'x': categorical value '.ud800' cannot be encoded as UTF-8"),
+            ([{"name": "\udfff", "kind": "uniform", "lo": 0, "hi": 1}], "column name '.udfff' cannot be encoded"),
         ],
     )
     def test_invalid_specs(self, spec, match):

@@ -142,6 +142,10 @@ class TestGenJoin:
         with pytest.raises(WorkloadError, match="out of range"):
             gen_join(chain_catalog, 4, 5, seed=0)
 
+    def test_negative_conds_per_relation(self, chain_catalog):
+        with pytest.raises(WorkloadError, match="conds_per_relation must be >= 0, got -1"):
+            gen_join(chain_catalog, 1, 5, seed=0, conds_per_relation=-1)
+
     def test_walk_exhaustion_reported(self):
         rels = tuple(
             synth_relation(i, 10, [{"name": "a", "kind": "uniform", "lo": 0, "hi": 1}], name=f"r{i}")
