@@ -1,4 +1,5 @@
-"""The three file formats of the package: binary, JSON lines and JSON documents.
+"""The four file formats of the package: binary, JSON lines, JSON documents and
+CSV. This is the only module that opens a file.
 
 A binary file (a model or an encoded matrix) is one JSON header line with
 sorted keys, then its payloads back to back as little-endian bytes. A payload
@@ -18,14 +19,19 @@ key-sorted with an indent of 2 and a trailing newline. A read accepts only
 UTF-8 JSON whose top level is an object, with no repeated key in any object
 and no `NaN` or `Infinity`; `check_fields` checks one object's keys and the
 JSON type of each value.
+
+A CSV file (a relation, or the scatter `evaluate` writes) is a header row, then
+one row per record, as `csv.writer` writes them. A read accepts only UTF-8 with
+every row as wide as the header, and returns the cells column by column.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +41,15 @@ def payload_hash(shape, chunks) -> str:
     h = hashlib.sha256(str(shape).encode())
     for chunk in chunks:
         h.update(chunk)
+    return h.hexdigest()[:16]
+
+
+def file_hash(path) -> str:
+    """Short sha256 of a file's bytes, which output headers record for each input file."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()[:16]
 
 
@@ -125,7 +140,8 @@ def read_jsonl(path, error: type[Exception], parse: Callable[[dict], object]) ->
     """Each record of a JSON-lines file parsed by `parse`, and the object of its
     last `_header` line (None if none; concatenated files read as one). A line
     that is not an object or that `parse` rejects (`error`, KeyError, TypeError,
-    AttributeError, ValueError) raises `error` naming the path and the line."""
+    AttributeError, ValueError, OverflowError) raises `error` naming the path and
+    the line."""
     records = []
     header = None
     with open(path, encoding="utf-8") as fh:
@@ -146,7 +162,7 @@ def read_jsonl(path, error: type[Exception], parse: Callable[[dict], object]) ->
                 raise error(f"{path}: line {line_no}: invalid JSON ({exc})") from None
             except KeyError as exc:
                 raise error(f"{path}: line {line_no}: missing key {exc}") from None
-            except (error, TypeError, ValueError, AttributeError) as exc:
+            except (error, TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise error(f"{path}: line {line_no}: {exc}") from None
     return records, header
 
@@ -182,10 +198,11 @@ def read_json(path, error: type[Exception]) -> dict:
 
 
 def write_json(path, doc: dict) -> None:
-    """Write `doc` as one key-sorted JSON document with an indent of 2 and a trailing newline."""
+    """Write `doc` as one key-sorted JSON document with an indent of 2 and a
+    trailing newline; a value JSON cannot hold (NaN) raises before the file opens."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -213,3 +230,40 @@ def check_fields(doc, where, error: type[Exception], required: dict, optional: d
         if type(value) is not types[key]:
             raise error(f"{where}: {key!r} must be {_JSON_TYPES[types[key]]}, got {_json_type(value)}")
     return doc
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write the `header` row, then one row per index of the equally long string `columns`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def read_csv(path, error: type[Exception]) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header row of a CSV file and its cells, one tuple per header name. A
+    file that is empty or not UTF-8, or a row that `csv` cannot parse (a cell
+    over `csv_cell_limit()`) or that is not as wide as the header, raises
+    `error` naming the path and the row, counted from 0 at the header."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for row in csv.reader(fh):
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise error(f"{path}: row {len(rows)}: {exc}") from None
+    if not rows:
+        raise error(f"{path}: empty file")
+    header = rows[0]
+    for r in range(1, len(rows)):
+        if len(rows[r]) != len(header):
+            raise error(f"{path}: row {r} has {len(rows[r])} cells, expected {len(header)}")
+    return header, [column[1:] for column in zip(*rows)]  # each column without its header cell
+
+
+def csv_cell_limit() -> int:
+    """The most characters `read_csv` takes in one cell: the `csv` module's
+    process-wide `field_size_limit()`, which this package never changes."""
+    return csv.field_size_limit()

@@ -5,17 +5,17 @@ Every subcommand is deterministic given --seed; output files embed the settings
 their command used and the hashes of their inputs, never timestamps (those go
 to the stderr log only).
 
-Every input and output file goes through `artifact`. The four JSON documents
-a user writes are each checked against one shape where they are parsed: the
-config here (unknown sections and keys are rejected), the synth spec, catalog
-and schema in `relstore`. Any bad input ends as one JSON error line on stderr
-that names its file, and exit status 1.
+Every input and output file goes through `artifact`, the one module that opens
+files. The four JSON documents a user writes are each checked against one
+shape where they are parsed: the config here (unknown sections and keys are
+rejected), the synth spec, catalog and schema in `relstore`. Any bad input, or
+a path the system cannot open (`OSError`), ends as one JSON error line on
+stderr that names its file, and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -62,7 +62,7 @@ _ERRORS = (
     ModelIOError,
     PredictionFileError,
     ValueError,
-    FileNotFoundError,
+    OSError,
 )
 
 
@@ -70,37 +70,8 @@ class CLIError(Exception):
     pass
 
 
-def _hash_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()[:16]
-
-
 def _json_line(doc: dict) -> str:
-    return json.dumps(_jsonify(doc), sort_keys=True, allow_nan=False)
-
-
-def _write_json(path, doc: dict) -> None:
-    artifact.write_json(path, _jsonify(doc))
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +157,7 @@ def cmd_synth(args) -> int:
 
     catalog_doc = {"relations": entries, "join_pairs": join_pairs}
     catalog_path = out_dir / "catalog.json"
-    _write_json(catalog_path, catalog_doc)
+    artifact.write_json(catalog_path, catalog_doc)
     print(_json_line({"catalog": str(catalog_path), "relations": [e["name"] for e in entries]}))
     return 0
 
@@ -236,7 +207,7 @@ def cmd_gen_queries(args) -> int:
                     catalog, t, args.n, args.seed + i, conds_per_relation=args.conds_per_relation
                 )
             )
-    header = _header(args, "gen-queries", inputs={"catalog": _hash_file(args.catalog)})
+    header = _header(args, "gen-queries", inputs={"catalog": artifact.file_hash(args.catalog)})
     header["n_queries"] = len(queries)
     write_queries_jsonl(args.out, [(q, None) for q in queries], header=header)
     log.info("generated %d queries -> %s", len(queries), args.out)
@@ -246,16 +217,16 @@ def cmd_gen_queries(args) -> int:
 
 def cmd_label(args) -> int:
     fractions = tuple(_parse_list("--split", args.split, float, count=3)) if args.split else None
+    if fractions:
+        workload.check_fractions(fractions)  # before the oracle labels every query
     catalog = load_catalog_file(args.catalog)
     items, _ = read_queries_jsonl(args.queries)
     # One oracle thread: the thread pool gains nothing on 2 cores (perfbench's join-pipeline
     # `oracle.pool_speedup`, one thread's time over the pool's, read 0.62-1.04).
     labeled = workload.finalize([q for q, _ in items], catalog, threads=1)
-    # split before the first write, so a bad split leaves no file behind
     parts = workload.split(labeled, fractions, seed=args.split_seed) if fractions else None
-    header = _header(
-        args, "label", inputs={"catalog": _hash_file(args.catalog), "queries": _hash_file(args.queries)}
-    )
+    inputs = {"catalog": artifact.file_hash(args.catalog), "queries": artifact.file_hash(args.queries)}
+    header = _header(args, "label", inputs=inputs)
     header.update({"n_raw": len(items), "n_labeled": len(labeled)})
     workload.save_workload(args.out, labeled, header=header)
     log.info("labeled %d of %d queries -> %s", len(labeled), len(items), args.out)
@@ -268,7 +239,7 @@ def cmd_label(args) -> int:
             part_header = dict(header)
             part_header["split"] = name
             workload.save_workload(f"{prefix}.{name}.jsonl", part, header=part_header)
-        _write_json(f"{prefix}.split.json", report)
+        artifact.write_json(f"{prefix}.split.json", report)
         summary["split"] = report["counts"]
     print(_json_line(summary))
     return 0
@@ -290,7 +261,7 @@ def cmd_encode(args) -> int:
         args,
         "encode",
         {"encoder": cfg["encoder"]},
-        inputs={"catalog": _hash_file(args.catalog), "queries": _hash_file(args.queries)},
+        inputs={"catalog": artifact.file_hash(args.catalog), "queries": artifact.file_hash(args.queries)},
     )
     save_encoded(
         args.out,
@@ -342,9 +313,10 @@ def cmd_predict(args) -> int:
         args, "predict", inputs={"model": estimator.file_hash, "encoded": enc_header["header_hash"]}
     )
     header["delta"] = args.delta
-    # columns as lists of Python numbers; a non-finite cov becomes null
-    columns = [ids.tolist()] + [_jsonify(getattr(prediction, name)) for name in _RECORD_FIELDS]
-    records = (dict(zip(("query_id",) + _RECORD_FIELDS, row)) for row in zip(*columns))
+    columns = {name: getattr(prediction, name).tolist() for name in _RECORD_FIELDS}
+    # a zero mean has an infinite cov, which JSON cannot hold: it is written as null
+    columns["cov"] = [None if math.isinf(cov) else cov for cov in columns["cov"]]
+    records = (dict(zip(("query_id",) + _RECORD_FIELDS, row)) for row in zip(ids.tolist(), *columns.values()))
     artifact.write_jsonl(args.out, header, records)
     log.info("predicted %d queries -> %s", len(X), args.out)
     print(_json_line({"out": args.out, "n": len(X)}))
@@ -361,9 +333,15 @@ def cmd_evaluate(args) -> int:
             raise PredictionFileError(f"query_id must be an integer, got {query_id!r}")
         if query_id in preds:
             raise PredictionFileError(f"duplicate query_id {query_id}")
-        # predict writes an infinite cov as null
-        preds[query_id] = {name: math.inf if name == "cov" and doc[name] is None else float(doc[name])
-                           for name in _RECORD_FIELDS}
+        fields = {}
+        for name in _RECORD_FIELDS:
+            value = doc[name]
+            if name == "cov" and value is None:  # predict writes an infinite cov as null
+                value = math.inf
+            elif type(value) not in (int, float) or not math.isfinite(value):
+                raise PredictionFileError(f"{name} must be a finite number, got {value!r}")
+            fields[name] = float(value)
+        preds[query_id] = fields
 
     _, pred_header = artifact.read_jsonl(args.pred, PredictionFileError, record)
     if pred_header is None or "delta" not in pred_header:
@@ -382,9 +360,9 @@ def cmd_evaluate(args) -> int:
     )
     doc = report.to_dict()
     doc["mse_log"] = report.stats.mse_log
-    doc["inputs"] = {"pred": _hash_file(args.pred), "labeled": _hash_file(args.labeled)}
+    doc["inputs"] = {"pred": artifact.file_hash(args.pred), "labeled": artifact.file_hash(args.labeled)}
     if args.out:
-        _write_json(args.out, doc)
+        artifact.write_json(args.out, doc)
     if args.scatter:
         report.to_csv(args.scatter)
     print(report.stats.to_text())
@@ -424,10 +402,10 @@ def cmd_active_learn(args) -> int:
         "active-learn",
         {"kernel": cfg["kernel"].to_dict(), "encoder": cfg["encoder"]},
         inputs={
-            "catalog": _hash_file(args.catalog),
-            "train": _hash_file(args.train),
-            "pool": _hash_file(args.pool),
-            "test": _hash_file(args.test),
+            "catalog": artifact.file_hash(args.catalog),
+            "train": artifact.file_hash(args.train),
+            "pool": artifact.file_hash(args.pool),
+            "test": artifact.file_hash(args.test),
         },
     )
     doc.update(
@@ -438,7 +416,7 @@ def cmd_active_learn(args) -> int:
             "selected_ids": [[pool_ids[i] for i in chosen] for chosen in result.selected],
         }
     )
-    _write_json(args.out, doc)
+    artifact.write_json(args.out, doc)
     log.info("active learning MSE history: %s", result.mse_history)
     log.info("active learning refit the union in %d of %d iterations", result.refits, args.iterations)
     print(_json_line({"out": args.out, "mse_history": result.mse_history}))

@@ -10,12 +10,11 @@ batches by the same k rows instead of recomputing their posteriors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gp
+from . import artifact, gp
 from .gp import CardinalityEstimator, Prediction
 from .kernel import KernelConfig
 
@@ -151,16 +150,13 @@ class UncertaintyReport:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query_id", "cov", "q_error", "n_conditions"])
-            n_conds = (
-                self.n_conditions
-                if self.n_conditions is not None
-                else np.full(self.q_error.size, -1, dtype=np.int64)
-            )
-            for qid, cov, qe, nc in zip(self.ids, self.cov, self.q_error, n_conds):
-                writer.writerow([int(qid), repr(float(cov)), repr(float(qe)), int(nc)])
+        n_conds = self.n_conditions if self.n_conditions is not None else np.full(self.q_error.size, -1)
+        columns = [(str, self.ids), (repr, self.cov), (repr, self.q_error), (str, n_conds)]
+        artifact.write_csv(
+            path,
+            ["query_id", "cov", "q_error", "n_conditions"],
+            [[text(v) for v in values.tolist()] for text, values in columns],
+        )
 
 
 def uncertainty_error_report(

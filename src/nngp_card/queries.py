@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
 from typing import Iterable, Union
 
 from . import artifact
@@ -192,35 +191,49 @@ def query_to_dict(query: Query, cardinality: int | None = None) -> dict:
     return doc
 
 
-def _list(value, what: str) -> list:
-    if type(value) is not list:
-        raise QueryError(f"{what} must be a list, got {value!r}")
+def _strings(value, what: str) -> tuple[str, ...]:
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise QueryError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # `true` is no integer
+        raise QueryError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def query_from_dict(doc: dict) -> tuple[Query, int | None]:
-    """(query, cardinality or None) of one JSON object; a missing key raises KeyError."""
+    """(query, cardinality or None) of one JSON object; a missing key raises KeyError.
+
+    Nothing is coerced: a range is a list of two JSON numbers (not booleans),
+    the ids, cardinality and join pairs are integers, and relations, IN values
+    and join ops are strings.
+    """
     selections: list[tuple[str, Filter]] = []
     for sel in doc.get("selections", []):
         attr = sel["attr"]
         if type(attr) is not str:
             raise QueryError(f"selection attribute must be a string, got {attr!r}")
         if "range" in sel:
-            lb, ub = sel["range"]
-            selections.append((attr, RangeFilter(float(lb), float(ub))))
+            bounds = sel["range"]
+            if type(bounds) is not list or len(bounds) != 2 or not all(type(b) in (int, float) for b in bounds):
+                raise QueryError(f"range must be a list of two numbers, got {bounds!r}")
+            selections.append((attr, RangeFilter(float(bounds[0]), float(bounds[1]))))
         elif "in" in sel:
-            selections.append((attr, InFilter(tuple(str(v) for v in _list(sel["in"], "IN values")))))
+            selections.append((attr, InFilter(_strings(sel["in"], "IN values"))))
         else:
             raise QueryError(f"selection {sel} has neither 'range' nor 'in'")
-    joins = tuple(JoinCondition(index(j["pair"]), str(j["op"])) for j in doc.get("joins", []))
+    # JoinCondition accepts only an op of JOIN_OPS, all strings
+    joins = tuple(JoinCondition(_integer(j["pair"], "join pair"), j["op"]) for j in doc.get("joins", []))
     query = Query(
-        relations=tuple(_list(doc["relations"], "relations")),
+        relations=_strings(doc["relations"], "relations"),
         selections=tuple(selections),
         joins=joins,
-        id=None if doc.get("id") is None else index(doc["id"]),
+        id=None if doc.get("id") is None else _integer(doc["id"], "id"),
     )
     card = doc.get("cardinality")
-    return query, (None if card is None else index(card))
+    return query, (None if card is None else _integer(card, "cardinality"))
 
 
 def write_queries_jsonl(path, items: Iterable[tuple[Query, int | None]], header: dict | None = None) -> None:

@@ -5,12 +5,13 @@ read-only), so they can be shared freely across worker threads.
 
 The schema, catalog and synth-spec documents are read through
 `artifact.read_json`; each loader checks its document's one shape and raises
-this module's typed error naming the file.
+this module's typed error naming the file. Relation CSVs go through
+`artifact.read_csv` and `write_csv`; `ingest_csv` checks the cells column by
+column.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -328,56 +329,47 @@ def ingest_csv(path, schema: Mapping[str, str], name: str | None = None) -> Rela
         if kind not in _KINDS:
             raise IngestError(f"column {col!r}: unknown kind {kind!r}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        unknown = [c for c in header if c not in schema]
-        if unknown:
-            raise IngestError(f"{path}: header columns {unknown} not declared in schema")
-        missing = [c for c in schema if c not in header]
-        if missing:
-            raise IngestError(f"{path}: declared columns {missing} missing from header")
-
-        raw: dict[str, list] = {c: [] for c in header}
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestError(f"{path}: row {row_idx} has {len(row)} cells, expected {len(header)}")
-            for col, cell in zip(header, row):
-                if cell == "":
-                    raise IngestError(f"{path}: row {row_idx}, column {col!r}: empty cell")
-                if schema[col] == "numerical":
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise IngestError(
-                            f"{path}: row {row_idx}, column {col!r}: "
-                            f"cannot parse {cell!r} as numerical"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise IngestError(
-                            f"{path}: row {row_idx}, column {col!r}: "
-                            f"non-finite value {cell!r}"
-                        )
-                    raw[col].append(value)
-                else:
-                    raw[col].append(cell)
-
-    n_rows = len(raw[header[0]]) if header else 0
-    if n_rows == 0:
+    header, cells = artifact.read_csv(path, IngestError)
+    unknown = [c for c in header if c not in schema]
+    if unknown:
+        raise IngestError(f"{path}: header columns {unknown} not declared in schema")
+    missing = [c for c in schema if c not in header]
+    if missing:
+        raise IngestError(f"{path}: declared columns {missing} missing from header")
+    if not cells or not cells[0]:
         raise IngestError(f"{path}: no data rows")
 
     columns = []
-    for col in header:
-        if schema[col] == "numerical":
-            arr = np.asarray(raw[col], dtype=np.float64)
-            ctype: ColumnType = NumericalType(float(arr.min()), float(arr.max()))
-            columns.append((col, ctype, arr))
+    for col, column in zip(header, cells):
+        numerical = schema[col] == "numerical"
+        try:
+            values = np.array([float(c) for c in column]) if numerical else None
+            ok = np.isfinite(values).all() if numerical else "" not in column
+        except ValueError:  # float() of an empty or non-numeric cell
+            ok = False
+        if not ok:
+            raise _cell_error(path, col, column, numerical)
+        if numerical:
+            columns.append((col, NumericalType(float(values.min()), float(values.max())), values))
         else:
-            columns.append((col, *_categorical_column(raw[col])))
+            columns.append((col, *_categorical_column(column)))
     return Relation(name, columns)
+
+
+def _cell_error(path, col: str, column: Sequence[str], numerical: bool) -> IngestError:
+    """The error for the first bad cell of a column that failed its whole-column
+    check: an empty cell, or in a numerical column a cell that is no finite number."""
+    for r, cell in enumerate(column, start=1):
+        where = f"{path}: row {r}, column {col!r}"
+        if cell == "":
+            return IngestError(f"{where}: empty cell")
+        if numerical:
+            try:
+                value = float(cell)
+            except ValueError:
+                return IngestError(f"{where}: cannot parse {cell!r} as numerical")
+            if not np.isfinite(value):
+                return IngestError(f"{where}: non-finite value {cell!r}")
 
 
 def _categorical_column(values: Sequence[str]) -> tuple[CategoricalType, np.ndarray]:
@@ -391,19 +383,11 @@ def _categorical_column(values: Sequence[str]) -> tuple[CategoricalType, np.ndar
 
 def export_csv(relation: Relation, path) -> None:
     """Write a Relation back to CSV such that re-ingesting it round-trips."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(relation.attrs)
-        decoders = []
-        for attr in relation.attrs:
-            ctype = relation.type_of(attr)
-            col = relation.column(attr)
-            if ctype.kind == "numerical":
-                decoders.append([repr(float(v)) for v in col])
-            else:
-                decoders.append([ctype.values[c] for c in col])
-        for row in zip(*decoders):
-            writer.writerow(row)
+    columns = []
+    for attr in relation.attrs:
+        ctype, values = relation.type_of(attr), relation.column(attr).tolist()
+        columns.append([repr(v) for v in values] if ctype.kind == "numerical" else [ctype.values[c] for c in values])
+    artifact.write_csv(path, relation.attrs, columns)
 
 
 def save_schema(relation: Relation, path) -> None:
@@ -531,7 +515,7 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
             raise IngestError("column spec missing 'name'")
         if not isinstance(col, str):
             raise IngestError(f"column name must be a string, got {col!r}")
-        _check_utf8(col, "column name")
+        _check_cell(col, "column name")
         if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
             raise IngestError(f"column {col!r}: unknown generator kind {kind!r}")
         unknown = sorted(set(spec) - {"name", "kind"} - _GENERATOR_KEYS[kind])
@@ -595,7 +579,7 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
                 # a CSV reads an empty value back as an empty cell, which `ingest_csv` rejects
                 if label == "":
                     raise IngestError(f"column {col!r}: categorical values must be non-empty")
-                _check_utf8(label, f"column {col!r}: categorical value")
+                _check_cell(label, f"column {col!r}: categorical value")
             p = None
             if "weights" in spec:
                 p = np.asarray([_spec_real(w, col, "weights") for w in _spec_list(spec, col, "weights")])
@@ -611,6 +595,15 @@ def synth_relation(seed: int, n_rows: int, columns: Sequence[Mapping], name: str
         built.append((col, NumericalType(float(vals.min()), float(vals.max())), vals))
 
     return Relation(name, built)
+
+
+def _check_cell(text: str, what: str) -> None:
+    """Raise IngestError, naming `what`, unless `text` can be written as a CSV
+    cell that `artifact.read_csv` reads back: UTF-8, and no longer than its limit."""
+    _check_utf8(text, what)
+    if len(text) > artifact.csv_cell_limit():
+        raise IngestError(f"{what} of {len(text)} characters is longer than a CSV cell may be "
+                          f"({artifact.csv_cell_limit()})")
 
 
 def _check_utf8(text: str, what: str) -> None:

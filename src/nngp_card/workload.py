@@ -206,6 +206,16 @@ def finalize(queries: Sequence[Query], catalog: SchemaCatalog, threads: int | No
     return LabeledWorkload(items)
 
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise WorkloadError unless `fractions` is a (train, valid, test) triple
+    in [0, 1] that sums to 1."""
+    if len(fractions) != 3:
+        raise WorkloadError("fractions must be a (train, valid, test) triple")
+    # written so that NaN, which compares false, fails it
+    if not all(0.0 <= f <= 1.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise WorkloadError(f"fractions {fractions} must lie in [0, 1] and sum to 1")
+
+
 def split(
     workload: LabeledWorkload,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
@@ -218,11 +228,7 @@ def split(
     the partition is exact and disjoint. Strata smaller than 3 queries go
     wholly to train and are reported.
     """
-    if len(fractions) != 3:
-        raise WorkloadError("fractions must be a (train, valid, test) triple")
-    # written so that NaN, which compares false, fails it
-    if not all(0.0 <= f <= 1.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise WorkloadError(f"fractions {fractions} must lie in [0, 1] and sum to 1")
+    check_fractions(fractions)
 
     strata: dict[int, list[int]] = {}
     for idx, item in enumerate(workload.items):

@@ -1,8 +1,11 @@
 """File formats: model and encoded-matrix files share one verifying binary
 codec; query, workload and prediction files share one JSON-lines codec; the
-JSON documents share one reader and one writer."""
+JSON documents share one reader and one writer; relation and scatter CSVs share
+one reader and one writer. No other module opens a file."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +263,7 @@ class TestJsonDocument:
     def test_non_finite_float_is_not_written(self, tmp_path):
         with pytest.raises(ValueError):
             artifact.write_json(tmp_path / "x.json", {"a": float("inf")})
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
         "data, message",
@@ -296,3 +300,64 @@ class TestJsonDocument:
             artifact.check_fields(doc, "where", JsonlError, {"n": int}, {"name": str})
         assert message in str(info.value)
         assert artifact.check_fields({"n": 2}, "where", JsonlError, {"n": int}, {"name": str}) == {"n": 2}
+
+
+class TestCsv:
+    def test_round_trip_bytes(self, tmp_path):
+        path = tmp_path / "x.csv"
+        artifact.write_csv(path, ["a", "b"], [["1.5", "2"], ["x", "y z"]])
+        assert path.read_bytes() == b"a,b\r\n1.5,x\r\n2,y z\r\n"
+        assert artifact.read_csv(path, JsonlError) == (["a", "b"], [("1.5", "2"), ("x", "y z")])
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        artifact.write_csv(path, ["a", "b"], [[], []])
+        assert path.read_bytes() == b"a,b\r\n"
+        assert artifact.read_csv(path, JsonlError) == (["a", "b"], [(), ()])
+
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "x.csv"
+        cells = ["x,y\nz", 'say "hi"', "plain"]
+        artifact.write_csv(path, ["a"], [cells])
+        assert path.read_bytes() == b'a\r\n"x,y\nz"\r\n"say ""hi"""\r\nplain\r\n'
+        assert artifact.read_csv(path, JsonlError) == (["a"], [tuple(cells)])
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "empty file"),
+            (b"a,b\r\n1,2\r\n3\r\n", "row 2 has 1 cells, expected 2"),
+            (b"a,b\r\n1,2,3\r\n", "row 1 has 3 cells, expected 2"),
+            (b"a\r\n\xff\r\n", "not UTF-8 text"),
+            (b"a\r\n" + b"x" * 131_073 + b"\r\n", "row 1: field larger than field limit (131072)"),
+            (b"a" * 131_073 + b"\r\n", "row 0: field larger than field limit (131072)"),
+        ],
+    )
+    def test_bad_file_names_path(self, tmp_path, data, message):
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
+        with pytest.raises(JsonlError) as info:
+            artifact.read_csv(path, JsonlError)
+        assert str(info.value) == f"{path}: {message}"
+
+
+# the calls that open a file, as a bare name or as a method (`Path.open`, `os.open`, ...)
+_OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_artifact_opens_files():
+    """Every module but `artifact` leaves files to it: none calls a file opener or imports `csv`."""
+    found = []
+    for path in sorted(Path(artifact.__file__).parent.glob("*.py")):
+        if path.name == "artifact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in _OPENERS:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno} imports csv")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append(f"{path.name}:{node.lineno} imports from csv")
+    assert found == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nngp_card import artifact, cli, relstore
+from nngp_card import artifact, cli, oracle, relstore
 from nngp_card.kernel import KernelConfig
 from nngp_card.queries import Query, RangeFilter
 from nngp_card.workload import WorkloadItem, load_workload, save_workload
@@ -119,6 +119,24 @@ class TestGoldenPath:
             "query_id", "card_estimate", "mean_log", "var_log", "ci_low", "ci_high", "cov",
         }
         assert record["ci_low"] <= record["mean_log"] <= record["ci_high"]
+
+    def test_infinite_cov_is_written_as_null(self, pipeline_dir, tmp_path, monkeypatch):
+        # the CoV of a zero mean is infinite; the file holds null and evaluate reads it back as inf
+        root, _ = pipeline_dir
+        real = cli.gp.predict
+
+        def first_cov_infinite(*args, **kwargs):
+            prediction = real(*args, **kwargs)
+            return dataclasses.replace(prediction, cov=np.concatenate([[np.inf], prediction.cov[1:]]))
+
+        monkeypatch.setattr(cli.gp, "predict", first_cov_infinite)
+        pred = tmp_path / "pred.jsonl"
+        run(["predict", "--model", root / "model.bin", "--encoded", root / "enc.test.bin", "--out", pred])
+        records = [json.loads(line) for line in pred.read_text(encoding="utf-8").splitlines()[1:]]
+        assert records[0]["cov"] is None and all(type(r["cov"]) is float for r in records[1:])
+        run(["evaluate", "--pred", pred, "--labeled", root / "labeled.test.jsonl", "--scatter", tmp_path / "s.csv"])
+        rows = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].split(",")[:2] == [str(records[0]["query_id"]), "inf"]
 
     def test_labeled_splits_partition_the_workload(self, pipeline_dir):
         root, _ = pipeline_dir
@@ -269,8 +287,16 @@ class TestGuards:
             (json.dumps({k: v for k, v in fresh.items() if k != "var_log"}) + "\n", "missing key 'var_log'"),
             (json.dumps({k: v for k, v in fresh.items() if k != "query_id"}) + "\n", "missing key 'query_id'"),
             (json.dumps(dict(fresh, query_id="7")) + "\n", "query_id must be an integer, got '7'"),
-            (json.dumps(dict(fresh, mean_log="high")) + "\n", "could not convert"),
+            (json.dumps(dict(fresh, mean_log="high")) + "\n", "mean_log must be a finite number, got 'high'"),
             (lines[1], f"duplicate query_id {first['query_id']}"),
+            # values of the wrong JSON type are rejected, not coerced; only cov may be null
+            (json.dumps(dict(fresh, mean_log="1.5")) + "\n", "mean_log must be a finite number, got '1.5'"),
+            (json.dumps(dict(fresh, var_log=True)) + "\n", "var_log must be a finite number, got True"),
+            (json.dumps(dict(fresh, card_estimate=None)) + "\n", "card_estimate must be a finite number, got None"),
+            (json.dumps(dict(fresh, cov="0.5")) + "\n", "cov must be a finite number, got '0.5'"),
+            (json.dumps(dict(fresh, ci_low=0.0)).replace('"ci_low": 0.0', '"ci_low": 1e999') + "\n",
+             "ci_low must be a finite number, got inf"),
+            (json.dumps(dict(fresh, ci_high=10**400)) + "\n", "int too large to convert to float"),
         ]
         bad = tmp_path / "bad.jsonl"
         for line, message in cases:
@@ -285,9 +311,12 @@ class TestGuards:
         root, catalog = pipeline_dir
         lines = (root / "qs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         doc = json.loads(lines[1])
+        ranged = next(sel for sel in doc["selections"] if "range" in sel)
+        coerced = json.dumps(dict(doc, selections=[dict(ranged, range=[True, "3"])])) + "\n"
         del doc["selections"][0]["attr"]
         bad = tmp_path / "bad.jsonl"
-        for line, message in (("{not json\n", "invalid JSON"), (json.dumps(doc) + "\n", "missing key 'attr'")):
+        for line, message in (("{not json\n", "invalid JSON"), (json.dumps(doc) + "\n", "missing key 'attr'"),
+                              (coerced, "range must be a list of two numbers, got [True, '3']")):
             bad.write_text("".join(lines[:2]) + line, encoding="utf-8")
             code = cli.main(["label", "--catalog", str(catalog), "--queries", str(bad), "--out", str(tmp_path / "l.jsonl")])
             assert code == 1
@@ -310,6 +339,19 @@ class TestGuards:
         argv = ["label", "--catalog", catalog, "--queries", root / "qs.jsonl", "--out", tmp_path / "l.jsonl",
                 "--split", fractions, "--split-out-prefix", tmp_path / "l"]
         fails_naming(capsys, "must lie in [0, 1]", argv, "WorkloadError")
+
+    @pytest.mark.parametrize("fractions", ["nan,0.5,0.5", "0.5,0.6,0.2"])
+    def test_label_checks_split_before_labeling(self, pipeline_dir, tmp_path, capsys, monkeypatch, fractions):
+        # a bad split fails before the catalog is read or any query is labeled
+        def refuse(*args, **kwargs):
+            raise AssertionError("label read the catalog or labeled queries before checking --split")
+
+        monkeypatch.setattr(cli, "load_catalog_file", refuse)
+        monkeypatch.setattr(oracle, "execute_batch", refuse)
+        root, catalog = pipeline_dir
+        argv = ["label", "--catalog", catalog, "--queries", root / "qs.jsonl", "--out", tmp_path / "l.jsonl",
+                "--split", fractions]
+        fails_naming(capsys, "must lie in [0, 1] and sum to 1", argv, "WorkloadError")
 
     @pytest.mark.parametrize(
         "fractions, error, named",
@@ -464,6 +506,22 @@ class TestGuards:
         assert code == 1
         err = capsys.readouterr().err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "FileNotFoundError"
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC), encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        fails_naming(capsys, taken, ["synth", "--spec", spec, "--out-dir", taken], "FileExistsError")
+        fails_naming(capsys, taken / "sub", ["synth", "--spec", spec, "--out-dir", taken / "sub"],
+                     "NotADirectoryError")
+
+    def test_out_that_is_a_directory(self, pipeline_dir, tmp_path, capsys):
+        _, catalog = pipeline_dir
+        out = tmp_path / "q.jsonl"
+        out.mkdir()
+        argv = ["gen-queries", "--catalog", catalog, "--mode", "join", "--n", 5, "--out", out]
+        fails_naming(capsys, out, argv, "IsADirectoryError")
 
     def test_kernel_flags_cover_config_fields(self):
         # a KernelConfig field without a flag is a knob no CLI user can set
@@ -676,6 +734,33 @@ class TestInputDocuments:
         schema.write_text(text, encoding="utf-8")
         (tmp_path / "s.csv").write_text("a\n1\n", encoding="utf-8")
         fails_naming(capsys, schema, ["ingest", "--csv", tmp_path / "s.csv", "--schema", schema], "IngestError")
+
+
+class TestCsvFiles:
+    """A relation CSV that cannot be read fails with one typed error line naming it."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(b"a\nx\n\xff\n", "not UTF-8 text", id="not-utf8"),
+            pytest.param(b"a\n" + b"x" * 131_073 + b"\n", "row 1: field larger than field limit (131072)",
+                         id="cell-over-the-limit"),
+        ],
+    )
+    def test_unreadable_csv(self, tmp_path, capsys, data, message):
+        csv, schema = tmp_path / "s.csv", tmp_path / "s.schema.json"
+        csv.write_bytes(data)
+        schema.write_text('{"columns": {"a": "categorical"}}', encoding="utf-8")
+        doc = fails_naming(capsys, csv, ["ingest", "--csv", csv, "--schema", schema], "IngestError")
+        assert doc["message"] == f"{csv}: {message}", doc
+
+    def test_synth_rejects_a_value_no_csv_reads_back(self, tmp_path, capsys):
+        column = {"name": "c", "kind": "categorical", "values": ["a", "x" * 200_000]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"relations": [dict(S, columns=[column])]}), encoding="utf-8")
+        doc = fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", tmp_path / "d"], "IngestError")
+        assert doc["message"] == (f"{spec}: relation 0: column 'c': categorical value of 200000 characters "
+                                  "is longer than a CSV cell may be (131072)"), doc
 
 
 class TestActiveLearnCommand:

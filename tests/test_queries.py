@@ -177,15 +177,32 @@ class TestSerialization:
         [
             ('{"relations": ["r1"], "selections": [{"range": [0, 1]}]}', "missing key 'attr'"),
             ('{"selections": []}', "missing key 'relations'"),
-            ('{"relations": "r1"}', "relations must be a list"),
-            ('{"relations": ["r1"], "id": "7"}', "cannot be interpreted as an integer"),
-            ('{"relations": ["r1"], "cardinality": 2.5}', "cannot be interpreted as an integer"),
-            ('{"relations": ["r1"], "joins": [{"pair": "0", "op": "="}]}', "cannot be interpreted as an integer"),
+            ('{"relations": "r1"}', "relations must be a list of strings, got 'r1'"),
+            ('{"relations": ["r1"], "id": "7"}', "id must be an integer, got '7'"),
+            ('{"relations": ["r1"], "cardinality": 2.5}', "cardinality must be an integer, got 2.5"),
+            ('{"relations": ["r1"], "joins": [{"pair": "0", "op": "="}]}', "join pair must be an integer, got '0'"),
             ('{"relations": ["r1"], "joins": [{"pair": 0}]}', "missing key 'op'"),
             ('{"relations": ["r1"], "selections": [{"attr": 3, "in": ["x"]}]}', "must be a string"),
-            ('{"relations": ["r1"], "selections": [{"attr": "r1.c", "in": "xz"}]}', "IN values must be a list"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.c", "in": "xz"}]}',
+             "IN values must be a list of strings, got 'xz'"),
             ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": [2, 1]}]}', "lb=2.0 > ub=1.0"),
             ("[]", "not a JSON object"),
+            # values of the wrong JSON type are rejected, not coerced
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": "12"}]}',
+             "range must be a list of two numbers, got '12'"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": [true, "3"]}]}',
+             "range must be a list of two numbers, got [True, '3']"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": [0, 1, 2]}]}',
+             "range must be a list of two numbers, got [0, 1, 2]"),
+            ('{"relations": ["r1"], "joins": [{"pair": true, "op": "="}]}', "join pair must be an integer, got True"),
+            ('{"relations": ["r1"], "id": false}', "id must be an integer, got False"),
+            ('{"relations": ["r1"], "cardinality": true}', "cardinality must be an integer, got True"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.c", "in": [1, 2.0]}]}',
+             "IN values must be a list of strings, got [1, 2.0]"),
+            ('{"relations": ["r1"], "joins": [{"pair": 0, "op": 1}]}', "unknown join op 1"),
+            ('{"relations": ["r1", 2]}', "relations must be a list of strings, got ['r1', 2]"),
+            ('{"relations": ["r1"], "selections": [{"attr": "r1.a", "range": [0, 1%s]}]}' % ("0" * 400),
+             "int too large to convert to float"),
         ],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, line, message):

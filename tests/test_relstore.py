@@ -98,6 +98,38 @@ class TestIngest:
         with pytest.raises(IngestError, match="unknown kind"):
             ingest_csv(p, {"x": "text"})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"c\nx\n\xe9\n", "not UTF-8 text"),
+            (b"c\nx\n" + b"y" * 131_073 + b"\n", "row 2: field larger than field limit (131072)"),
+        ],
+    )
+    def test_unreadable_file_names_it(self, tmp_path, data, message):
+        p = tmp_path / "r.csv"
+        p.write_bytes(data)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(p, {"c": "categorical"})
+        assert str(info.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # columns are checked left to right, every cell of one column before the next column
+            ("x,y\n1,\nzz,2\n", "row 2, column 'x': cannot parse 'zz' as numerical"),
+            ("c,x\na,inf\n,1\n", "row 2, column 'c': empty cell"),
+            # inside a column, the first bad cell is reported, whatever its fault
+            ("x,y\n1,1\nnan,1\nzz,1\n", "row 2, column 'x': non-finite value 'nan'"),
+            ("x,y\n1,1\n,1\nnan,1\n", "row 2, column 'x': empty cell"),
+        ],
+    )
+    def test_first_fault_of_the_leftmost_faulty_column(self, tmp_path, text, message):
+        p = write_csv(tmp_path / "r.csv", text)
+        schema = {"c": "categorical", "x": "numerical", "y": "numerical"}
+        with pytest.raises(IngestError) as info:
+            ingest_csv(p, {col: schema[col] for col in text.split("\n")[0].split(",")})
+        assert str(info.value) == f"{p}: {message}"
+
 
 class TestRelationNames:
     """A name is non-empty and holds no '.', which ends the relation's part of "Rel.Attr"."""
@@ -143,6 +175,12 @@ class TestRoundTrip:
         schema = {attr: rel.type_of(attr).kind for attr in rel.attrs}
         again = ingest_csv(path, schema, name="rt")
         assert again == rel
+
+    def test_longest_categorical_value_round_trips(self, tmp_path):
+        rel = synth_relation(0, 5, [{"name": "c", "kind": "categorical", "values": ["a", "b" * 131_072]}], name="rt")
+        assert rel.type_of("c").values == ("a", "b" * 131_072)
+        export_csv(rel, tmp_path / "rt.csv")
+        assert ingest_csv(tmp_path / "rt.csv", {"c": "categorical"}) == rel
 
     def test_schema_file_round_trip(self, tmp_path, tiny_relation):
         path = tmp_path / "s.json"
@@ -371,6 +409,11 @@ class TestSynth:
             ([{"name": "x", "kind": "categorical", "values": ["a", "\ud800"]}],
              "'x': categorical value '.ud800' cannot be encoded as UTF-8"),
             ([{"name": "\udfff", "kind": "uniform", "lo": 0, "hi": 1}], "column name '.udfff' cannot be encoded"),
+            # a value or name longer than `csv.field_size_limit()` could be written but not read back
+            ([{"name": "x", "kind": "categorical", "values": ["a", "b" * 131_073]}],
+             "'x': categorical value of 131073 characters is longer than a CSV cell may be \\(131072\\)"),
+            ([{"name": "x" * 131_073, "kind": "uniform", "lo": 0, "hi": 1}],
+             "column name of 131073 characters is longer than a CSV cell may be \\(131072\\)"),
         ],
     )
     def test_invalid_specs(self, spec, match):

@@ -9,6 +9,7 @@ from nngp_card.workload import (
     LabeledWorkload,
     WorkloadError,
     WorkloadItem,
+    check_fractions,
     finalize,
     gen_join,
     gen_single_relation,
@@ -264,6 +265,13 @@ class TestSplit:
     def test_non_finite_or_negative_fractions(self, fractions):
         with pytest.raises(WorkloadError, match=r"must lie in \[0, 1\]"):
             split(_dummy_workload(10), fractions, seed=0)
+
+    def test_fractions_checked_without_a_workload(self):
+        # `label` checks its --split this way before it labels anything
+        check_fractions((0.6, 0.2, 0.2))
+        for fractions, match in (((0.5, 0.5), "triple"), ((float("nan"), 0.5, 0.5), "lie in"), ((0.5, 0.6, 0.2), "sum")):
+            with pytest.raises(WorkloadError, match=match):
+                check_fractions(fractions)
 
 
 class TestPersistence:
