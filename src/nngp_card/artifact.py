@@ -141,29 +141,32 @@ def read_jsonl(path, error: type[Exception], parse: Callable[[dict], object]) ->
     last `_header` line (None if none; concatenated files read as one). A line
     that is not an object or that `parse` rejects (`error`, KeyError, TypeError,
     AttributeError, ValueError, OverflowError) raises `error` naming the path and
-    the line."""
+    the line; a file that is not UTF-8 raises `error` naming the path."""
     records = []
     header = None
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                doc = json.loads(line)
-                if type(doc) is not dict:
-                    raise error("not a JSON object")
-                if "_header" not in doc:
-                    records.append(parse(doc))
-                elif type(doc["_header"]) is dict:
-                    header = doc["_header"]
-                else:
-                    raise error("header is not a JSON object")
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}: line {line_no}: invalid JSON ({exc})") from None
-            except KeyError as exc:
-                raise error(f"{path}: line {line_no}: missing key {exc}") from None
-            except (error, TypeError, ValueError, AttributeError, OverflowError) as exc:
-                raise error(f"{path}: line {line_no}: {exc}") from None
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    doc = json.loads(line)
+                    if type(doc) is not dict:
+                        raise error("not a JSON object")
+                    if "_header" not in doc:
+                        records.append(parse(doc))
+                    elif type(doc["_header"]) is dict:
+                        header = doc["_header"]
+                    else:
+                        raise error("header is not a JSON object")
+                except json.JSONDecodeError as exc:
+                    raise error(f"{path}: line {line_no}: invalid JSON ({exc})") from None
+                except KeyError as exc:
+                    raise error(f"{path}: line {line_no}: missing key {exc}") from None
+                except (error, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                    raise error(f"{path}: line {line_no}: {exc}") from None
+        except UnicodeDecodeError:  # raised by the iteration, which decodes the file
+            raise error(f"{path}: not UTF-8 text") from None
     return records, header
 
 

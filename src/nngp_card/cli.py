@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -135,8 +136,25 @@ def _header(args, command: str, config: dict | None = None, inputs: dict | None 
 # ---------------------------------------------------------------------------
 
 
+def _check_file_names(spec, names, out_dir: Path) -> None:
+    """Raise IngestError unless each relation's longest file name,
+    <name>.schema.json, fits the file system of `out_dir`'s nearest existing
+    ancestor, so that synth fails before it creates anything."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    limit = os.pathconf(existing, "PC_NAME_MAX")
+    for i, name in enumerate(names):
+        size = len(f"{name}.schema.json".encode())
+        if 0 < limit < size:
+            raise IngestError(
+                f"{spec}: relation {i}: file name {name}.schema.json has {size} bytes, "
+                f"more than the {limit} that {existing} allows"
+            )
+
+
 def cmd_synth(args) -> int:
     specs, join_pairs = load_spec(args.spec)
+    out_dir = Path(args.out_dir)
+    _check_file_names(args.spec, [name for name, _, _ in specs], out_dir)
     relations = []
     for i, (name, rows, columns) in enumerate(specs):
         try:
@@ -144,7 +162,6 @@ def cmd_synth(args) -> int:
         except RelStoreError as exc:
             raise IngestError(f"{args.spec}: relation {i}: {exc}") from None
     build_catalog(relations, join_pairs, args.spec, IngestError)  # nothing is written before this check
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []

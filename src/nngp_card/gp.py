@@ -8,8 +8,13 @@ for the whitened targets w = L^-1 y, its variance prior - colsum(v^2).
 The fit builds only the upper triangle of the kernel, the half LAPACK reads,
 and factors it in place, so the factor occupies the kernel's own n x n
 buffer, a fit holds one n x n matrix at a time, and the factor's strict
-upper triangle is exactly zero. A jitter rung that fails has consumed that
-buffer; it is released before the next rung rebuilds the kernel.
+upper triangle is exactly zero. That triangle is never written. Every n x n
+buffer here (a fit's kernel, a grown and a loaded factor) comes from
+`square_zeros`, which declines transparent huge pages, so unwritten pages are
+never backed: a fitted or loaded model holds about 4n^2 resident bytes, while
+tracemalloc still counts the buffer's 8n^2. A jitter rung that fails has
+consumed that buffer; it is released before the next rung rebuilds the
+kernel.
 Prediction whitens the queries in pieces of `_WHITEN_COLS` columns, so its
 working set is one n x `_WHITEN_COLS` block, whatever the batch size.
 `extend` grows a fitted model by new training rows with an exact
@@ -29,7 +34,7 @@ from scipy.linalg import LinAlgError, cho_factor, cholesky, solve_triangular
 from scipy.special import ndtri
 
 from . import artifact
-from .kernel import KernelConfig, KernelError, kernel_diag, kernel_matrix, row_blocks
+from .kernel import KernelConfig, KernelError, kernel_diag, kernel_matrix, row_blocks, square_zeros
 
 # Relative jitter escalation before a factorization failure is declared.
 # The first attempt adds nothing: a numerically PD kernel keeps the exact
@@ -186,9 +191,11 @@ def extend_whitened(estimator: CardinalityEstimator, X_new: np.ndarray, y_new: n
     # the batches grow before the (n + k)^2 factor is allocated
     for batch in batches:
         batch._grow(X_new, B, C)
-    L = np.empty((len(y), len(y)), order="F")
-    L[:n, :n] = estimator.chol
-    L[:n, n:] = 0.0
+    # the old factor's zeros are not copied: above row n, the strict upper
+    # triangle stays the buffer's zeros, and its pages are never backed
+    L = square_zeros(len(y), "F")
+    for column, old in zip(_lower_columns(L), _lower_columns(estimator.chol)):
+        column[: len(old)] = old
     L[n:, :n] = B.T
     L[n:, n:] = C
     return _estimator(X, y, L, config, estimator.layout_hash, estimator.jitter), True
@@ -414,7 +421,8 @@ def load(path) -> CardinalityEstimator:
     """Read a model file; its header and every payload must match their recorded hashes.
 
     The factor is read column by column into a zeroed Fortran-order buffer,
-    so it has the fitted factor's layout and bits.
+    so it has the fitted factor's layout and bits, and its upper triangle,
+    never written, is never backed.
     """
     fields = {}
 
@@ -431,7 +439,7 @@ def load(path) -> CardinalityEstimator:
         fields.update(
             X_train=np.empty((n, d), "<f8"),
             y_log=np.empty(n, "<f8"),
-            chol=np.zeros((n, n), "<f8", order="F"),
+            chol=square_zeros(n, "F", "<f8"),
             w=np.empty(n, "<f8"),
         )
         buffers = dict(fields, chol=_lower_columns(fields["chol"]))

@@ -26,8 +26,12 @@ depth layer, in place, while it is in cache. A same-batch matrix computes
 only its upper row blocks K[lo:hi, lo:], in a zeroed buffer, and either
 mirrors each one (the dense matrix) or leaves the strict lower triangle 0
 (triangle=True, the half a Cholesky never reads), so a build allocates one
-n x m output and block-sized scratch, nothing more. The RBF baseline is
-built by the same blocks.
+n x m output and block-sized scratch, nothing more. The zeroed buffer comes
+from `square_zeros`, which declines transparent huge pages: numpy advises
+them for every array of 4 MiB or more, and a 2 MiB page would back the
+untouched triangle along with the written one. So the triangle takes about
+4n^2 resident bytes, while tracemalloc, which counts numpy's allocation,
+still sees 8n^2. The RBF baseline is built by the same blocks.
 
 `nngp_kernel` and `rbf_kernel` return the noise-free prior covariance.
 Observation noise is the regressor's: `kernel_matrix` is the one place that
@@ -37,7 +41,9 @@ its cross-batch matrices carry none.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
 import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -49,6 +55,12 @@ import numpy as np
 # depth layer runs over them. On a 2-core Xeon with one BLAS thread, 2^17
 # built N=2300 and N=8000 kernels faster than 2^18 or 2^19.
 _BLOCK_ELEMS = 1 << 17
+
+# Linux's advice that a range take no transparent huge pages; None elsewhere.
+_MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
+if _MADV_NOHUGEPAGE is not None:
+    _madvise = ctypes.CDLL(None).madvise
+    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 
 
 class KernelError(Exception):
@@ -250,6 +262,25 @@ def row_blocks(n_rows: int, n_cols: int, upper: bool = False):
         lo = hi
 
 
+def square_zeros(n: int, order: str = "C", dtype=np.float64) -> np.ndarray:
+    """np.zeros((n, n)), whose pages are backed only where it is written.
+
+    numpy advises transparent huge pages for every array of 4 MiB or more, so
+    the first write into a 2 MiB page backs all of it, and a triangle written
+    in an n x n buffer backs the unwritten one along with it. The array's
+    page-aligned interior is advised MADV_NOHUGEPAGE instead (where the
+    platform has it), so only the 4 KiB pages a write touches are backed. The
+    memory is still numpy's own allocation, which tracemalloc counts in full.
+    """
+    A = np.zeros((n, n), dtype, order=order)
+    if _MADV_NOHUGEPAGE is not None:
+        start = -A.ctypes.data % mmap.PAGESIZE  # offset of the first whole page
+        length = (A.nbytes - start) // mmap.PAGESIZE * mmap.PAGESIZE
+        if length > 0:
+            _madvise(A.ctypes.data + start, length, _MADV_NOHUGEPAGE)
+    return A
+
+
 def _block_build(n: int, m: int, diag: Optional[np.ndarray], fill, triangle: bool) -> np.ndarray:
     """A kernel matrix filled row block by row block by fill(block, rows, cols).
 
@@ -264,7 +295,7 @@ def _block_build(n: int, m: int, diag: Optional[np.ndarray], fill, triangle: boo
     same = diag is not None
     if triangle and not same:
         raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
-    K = np.zeros((n, n)) if same else np.empty((n, m))
+    K = square_zeros(n) if same else np.empty((n, m))
     for lo, hi in row_blocks(n, m, upper=same):
         first = lo if same else 0
         fill(K[lo:hi, first:], slice(lo, hi), slice(first, None))

@@ -136,14 +136,6 @@ class Relation:
         self.type_of(attr)
         return self._data[attr]
 
-    def value_at(self, attr: str, row: int):
-        """Decoded cell value (float, or domain string for categorical)."""
-        ctype = self.type_of(attr)
-        raw = self._data[attr][row]
-        if ctype.kind == "numerical":
-            return float(raw)
-        return ctype.values[int(raw)]
-
     def renamed(self, new_name: str) -> "Relation":
         """Cheap alias sharing column data, used for self-joins."""
         clone = object.__new__(Relation)

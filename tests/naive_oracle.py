@@ -19,6 +19,15 @@ _OPS = {
 }
 
 
+def value_at(rel, attr, row):
+    """Decoded cell value: a float, or the domain string of a categorical code."""
+    ctype = rel.type_of(attr)
+    raw = rel.column(attr)[row]
+    if ctype.kind == "numerical":
+        return float(raw)
+    return ctype.values[int(raw)]
+
+
 def naive_count(query, catalog):
     rels = [catalog.relation(name) for name in query.relations]
 
@@ -27,7 +36,7 @@ def naive_count(query, catalog):
             rel_name, attr = ref.split(".", 1)
             if rel_name != rel.name:
                 continue
-            value = rel.value_at(attr, row)
+            value = value_at(rel, attr, row)
             if isinstance(flt, RangeFilter):
                 if not flt.lb <= value <= flt.ub:
                     return False
@@ -45,8 +54,8 @@ def naive_count(query, catalog):
             left, right = catalog.join_pairs[cond.pair]
             lrel, lattr = left.split(".", 1)
             rrel, rattr = right.split(".", 1)
-            lval = catalog.relation(lrel).value_at(lattr, rows[lrel])
-            rval = catalog.relation(rrel).value_at(rattr, rows[rrel])
+            lval = value_at(catalog.relation(lrel), lattr, rows[lrel])
+            rval = value_at(catalog.relation(rrel), rattr, rows[rrel])
             if not _OPS[cond.op](lval, rval):
                 ok = False
                 break

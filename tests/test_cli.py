@@ -324,6 +324,15 @@ class TestGuards:
             assert error["error"] == "QueryError"
             assert error["message"].startswith(f"{bad}: line 3: ") and message in error["message"]
 
+    def test_query_file_that_is_not_utf8(self, pipeline_dir, tmp_path, capsys):
+        root, catalog = pipeline_dir
+        lines = (root / "qs.jsonl").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines[:2]) + b'{"id": "\xff"}\n' + b"".join(lines[2:]))
+        argv = ["encode", "--catalog", catalog, "--queries", bad, "--out", tmp_path / "e.bin"]
+        doc = fails_naming(capsys, bad, argv, "QueryError")
+        assert doc["message"] == f"{bad}: not UTF-8 text"
+
     def test_spec_without_rows_is_structured_error(self, tmp_path, capsys):
         spec = {"relations": [SPEC["relations"][0], {k: v for k, v in SPEC["relations"][1].items() if k != "rows"}]}
         (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
@@ -515,6 +524,16 @@ class TestGuards:
         fails_naming(capsys, taken, ["synth", "--spec", spec, "--out-dir", taken], "FileExistsError")
         fails_naming(capsys, taken / "sub", ["synth", "--spec", spec, "--out-dir", taken / "sub"],
                      "NotADirectoryError")
+
+    def test_relation_file_name_too_long_for_out_dir(self, tmp_path, capsys):
+        # the second relation's name fails the file system's name limit: synth
+        # writes nothing for the first one either, nor creates --out-dir
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"relations": [dict(S, name="a"), dict(S, name="b" * 300)]}), encoding="utf-8")
+        out = tmp_path / "sub" / "d"
+        doc = fails_naming(capsys, spec, ["synth", "--spec", spec, "--out-dir", out], "IngestError")
+        assert doc["message"].startswith(f"{spec}: relation 1: file name {'b' * 300}.schema.json has 312 bytes")
+        assert not (tmp_path / "sub").exists()
 
     def test_out_that_is_a_directory(self, pipeline_dir, tmp_path, capsys):
         _, catalog = pipeline_dir

@@ -172,6 +172,7 @@ class TestExtend:
         union = gp.fit(X, y, cfg, layout_hash="h")
         assert grown.jitter == union.jitter == 0.0
         assert grown.layout_hash == "h" and np.array_equal(grown.X_train, X)
+        assert grown.chol.flags.f_contiguous and not np.any(np.triu(grown.chol, 1))
         assert _rel(grown.chol, union.chol) < 1e-8
         assert _rel(grown.w, union.w) < 1e-8
         p_grown, p_union = gp.predict(grown, probe), gp.predict(union, probe)
@@ -193,6 +194,19 @@ class TestExtend:
         K[np.diag_indices_from(K)] += est.jitter
         assert _rel(grown.chol @ grown.chol.T, K) < 1e-12
         assert np.array_equal(grown.chol[:8, :8], est.chol)
+
+    def test_grown_factor_writes_only_its_lower_triangle(self, small_data, monkeypatch):
+        # above the new rows, the strict upper triangle is left to the zeroed
+        # buffer, whose pages a write would back
+        X, y = small_data
+        est = gp.fit(X[:8], y[:8], KernelConfig())
+        want = gp.extend(est, X[8:], y[8:]).chol
+        monkeypatch.setattr(gp, "square_zeros", lambda n, order: np.full((n, n), np.nan, order=order))
+        got = gp.extend(est, X[8:], y[8:]).chol
+        upper = np.triu_indices(8, 1, len(y))
+        assert np.all(np.isnan(got[upper]))
+        got[upper] = 0.0
+        assert np.array_equal(got, want)
 
     def test_schur_complement_failure_refits_the_union(self):
         cfg = KernelConfig(noise_sq=0.0)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from nngp_card.kernel import (
     rbf_kernel,
     relu_layer_step,
     row_blocks,
+    square_zeros,
 )
 
 
@@ -315,6 +318,36 @@ class TestBlockBuild:
         for depth, ref in enumerate(_dense_layers(X, X2, top)):
             K = nngp_kernel(X, X2, dataclasses.replace(top, depth=depth))
             np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+
+class TestSquareZeros:
+    @pytest.mark.parametrize("n, order", [(0, "C"), (1, "F"), (300, "C"), (1000, "F")])
+    def test_is_a_zeroed_square_that_tracemalloc_counts(self, n, order):
+        tracemalloc.start()
+        try:
+            A = square_zeros(n, order)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (n, n) and A.dtype == np.float64 and not np.any(A)
+        assert A.flags.c_contiguous if order == "C" else A.flags.f_contiguous
+        assert traced >= A.nbytes
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="no MADV_NOHUGEPAGE on this platform")
+    def test_writing_the_upper_triangle_backs_about_half(self):
+        # 4 KiB pages round each 32 KiB row's written part up to whole pages,
+        # about 0.69 of the array; with 2 MiB huge pages all of it is backed
+        n = 4096
+        A = square_zeros(n)
+        before = _resident_bytes()
+        for i in range(n):
+            A[i, i:] = 1.0
+        assert _resident_bytes() - before <= 0.75 * A.nbytes
 
 
 class TestRbf:
