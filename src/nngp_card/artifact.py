@@ -6,9 +6,10 @@ sorted keys, then its payloads back to back as little-endian bytes. A payload
 is one array in C order, or an ordered sequence of contiguous chunks (such as
 the columns of a triangle) written back to back. The header holds a hash of
 every payload and `header_hash`, a hash of every other header key, so a load
-verifies every byte it returns and every header value it reads. A load checks
-the payload size against the file size, then reads each chunk straight into
-the caller's buffer, without a copy.
+verifies every byte it returns and every header value it reads, the header
+before any of its values sizes a buffer. A load checks the payload size
+against the file size, then reads each chunk straight into the caller's
+buffer, without a copy.
 
 A JSON-lines file (queries, labeled workloads, predictions) is a
 `{"_header": ...}` line, then one key-sorted object per record.
@@ -90,24 +91,33 @@ def write(path, header: dict, payloads) -> None:
                 fh.write(chunk)
 
 
-def read(path, error: type[Exception], payloads) -> dict:
+def read(path, error: type[Exception], check, payloads) -> dict:
     """The verified header of a file, after filling the caller's payload buffers.
 
-    `payloads(header)` checks the header's format and returns (hash key, name
-    in errors, buffer) for each payload, in file order; a buffer is an array
-    in the disk dtype, or a sequence of such contiguous chunks, filled in
-    order. Every failure raises `error`.
+    `check(header)` raises `error` for a file of another format or version;
+    it runs first, so an older file, which may record no header hash, is
+    named as such. The header hash is verified next, so no value of a
+    corrupted header sizes a buffer. Then `payloads(header)` returns (hash
+    key, name in errors, buffer) for each payload, in file order; a buffer
+    is an array in the disk dtype, or a sequence of such contiguous chunks,
+    filled in order. Every failure raises `error`.
     """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
-            specs = payloads(header) if isinstance(header, dict) else None
-        except (KeyError, TypeError, ValueError):  # ValueError: not JSON, or not UTF-8
-            specs = None
-        if specs is None or "header_hash" not in header:
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict):
+            raise error(f"{path}: missing or corrupt header")
+        check(header)
+        if "header_hash" not in header:
             raise error(f"{path}: missing or corrupt header")
         if _header_hash({k: v for k, v in header.items() if k != "header_hash"}) != header["header_hash"]:
             raise error(f"{path}: header does not match its recorded hash")
+        try:
+            specs = payloads(header)
+        except (KeyError, TypeError, ValueError):
+            raise error(f"{path}: missing or corrupt header") from None
         specs = [(key, what, *_chunks(buffer)) for key, what, buffer in specs]
         expected = sum(chunk.nbytes for *_, chunks in specs for chunk in chunks)
         size = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -248,9 +248,11 @@ def load_encoded(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None
 
     arrays = {}
 
-    def payloads(header):
+    def check(header):
         if header.get("format") != MATRIX_FORMAT:
             raise EncodingError(f"{path}: unexpected format {header.get('format')!r}")
+
+    def payloads(header):
         n, dim = int(header["n"]), int(header["d_enc"])
         arrays["matrix_hash"] = np.empty((n, dim), "<f8")
         specs = [("matrix_hash", "matrix", arrays["matrix_hash"])]
@@ -262,5 +264,5 @@ def load_encoded(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None
             specs.append(("targets_hash", "target", arrays["targets_hash"]))
         return specs
 
-    header = artifact.read(path, EncodingError, payloads)
+    header = artifact.read(path, EncodingError, check, payloads)
     return arrays["matrix_hash"], arrays.get("ids_hash"), arrays.get("targets_hash"), header

@@ -426,11 +426,13 @@ def load(path) -> CardinalityEstimator:
     """
     fields = {}
 
-    def payloads(header):
+    def check(header):
         if header.get("format") != MODEL_FORMAT:
             raise ModelIOError(f"{path}: not a model file (format={header.get('format')!r})")
         if header.get("version") != MODEL_VERSION:
             raise ModelIOError(f"{path}: unsupported model version {header.get('version')!r}")
+
+    def payloads(header):
         try:
             fields["config"] = KernelConfig.from_dict(header["config"])
         except KernelError:
@@ -445,7 +447,7 @@ def load(path) -> CardinalityEstimator:
         buffers = dict(fields, chol=_lower_columns(fields["chol"]))
         return [(key, what, buffers[field]) for field, key, what in _PAYLOADS]
 
-    header = artifact.read(path, ModelIOError, payloads)
+    header = artifact.read(path, ModelIOError, check, payloads)
     return CardinalityEstimator(
         **fields,
         layout_hash=header.get("layout_hash", ""),

@@ -23,15 +23,17 @@ Given the per-layer diagonals, which follow their own recurrence, every
 layer step is elementwise. A kernel matrix is therefore built in row blocks
 of a fixed number of entries: each block gets its base values and then every
 depth layer, in place, while it is in cache. A same-batch matrix computes
-only its upper row blocks K[lo:hi, lo:], in a zeroed buffer, and either
-mirrors each one (the dense matrix) or leaves the strict lower triangle 0
-(triangle=True, the half a Cholesky never reads), so a build allocates one
-n x m output and block-sized scratch, nothing more. The zeroed buffer comes
-from `square_zeros`, which declines transparent huge pages: numpy advises
-them for every array of 4 MiB or more, and a 2 MiB page would back the
-untouched triangle along with the written one. So the triangle takes about
-4n^2 resident bytes, while tracemalloc, which counts numpy's allocation,
-still sees 8n^2. The RBF baseline is built by the same blocks.
+only its upper row blocks K[lo:hi, lo:], each in one contiguous tile, since
+the view itself is strided and ragged and every elementwise pass is slower
+on it. It copies each into a zeroed buffer and either mirrors it (the dense
+matrix) or leaves the strict lower triangle 0 (triangle=True, the half a
+Cholesky never reads), so a build allocates one n x m output and block-sized
+tile and scratch, nothing more. The zeroed buffer comes from `square_zeros`,
+which declines transparent huge pages: numpy advises them for every array of
+4 MiB or more, and a 2 MiB page would back the untouched triangle along with
+the written one. So the triangle takes about 4n^2 resident bytes, while
+tracemalloc, which counts numpy's allocation, still sees 8n^2. The RBF
+baseline is built by the same blocks.
 
 `nngp_kernel` and `rbf_kernel` return the noise-free prior covariance.
 Observation noise is the regressor's: `kernel_matrix` is the one place that
@@ -50,10 +52,11 @@ from typing import Optional
 
 import numpy as np
 
-# Entries per row block of a kernel build. The block and the three scratch
-# arrays of the ReLU step (4 MiB in all) stay in a core's L2 cache while every
-# depth layer runs over them. On a 2-core Xeon with one BLAS thread, 2^17
-# built N=2300 and N=8000 kernels faster than 2^18 or 2^19.
+# Entries per row block of a kernel build. The block (a same-batch build's
+# tile, or a cross build's full-width rows) and the three scratch arrays of the
+# ReLU step, 4 MiB in all, stay in a core's L2 cache while every depth layer
+# runs over them. On a 2-core Xeon with one BLAS thread, 2^17 built N=2300 and
+# N=8000 kernels faster than 2^18 or 2^19.
 _BLOCK_ELEMS = 1 << 17
 
 # Linux's advice that a range take no transparent huge pages; None elsewhere.
@@ -262,6 +265,11 @@ def row_blocks(n_rows: int, n_cols: int, upper: bool = False):
         lo = hi
 
 
+def _largest_block(n_rows: int, n_cols: int) -> int:
+    """Entries of the largest of `row_blocks`: _BLOCK_ELEMS, or one row if longer."""
+    return min(n_rows * n_cols, max(_BLOCK_ELEMS, n_cols))
+
+
 def square_zeros(n: int, order: str = "C", dtype=np.float64) -> np.ndarray:
     """np.zeros((n, n)), whose pages are backed only where it is written.
 
@@ -284,31 +292,38 @@ def square_zeros(n: int, order: str = "C", dtype=np.float64) -> np.ndarray:
 def _block_build(n: int, m: int, diag: Optional[np.ndarray], fill, triangle: bool) -> np.ndarray:
     """A kernel matrix filled row block by row block by fill(block, rows, cols).
 
-    diag=None builds the n x m cross matrix, whole. Otherwise the matrix is the
+    diag=None builds the n x m cross matrix, whole, each block in place: its
+    rows are full width, so a block is contiguous. Otherwise the matrix is the
     n x n same-batch one: only its upper row blocks K[lo:hi, lo:] are filled,
-    in a zeroed buffer. Each block's entries below the diagonal are then
-    zeroed (triangle=True) or mirrored from the transposed entries above it,
-    and the diagonal is set to `diag`. The upper triangle is therefore the
-    same, bit for bit, in both layouts, and the triangle is exactly what a
-    lower Cholesky of the Fortran-order K.T reads.
+    each in one C-contiguous tile allocated once per build (the passes run
+    faster there than on the strided view, in the same order, to the same
+    bits), then copied into a zeroed buffer. Each block's entries below the
+    diagonal are then zeroed (triangle=True) or mirrored from the transposed
+    entries above it, and the diagonal is set to `diag`. The upper triangle
+    is therefore the same, bit for bit, in both layouts, and the triangle is
+    exactly what a lower Cholesky of the Fortran-order K.T reads.
     """
-    same = diag is not None
-    if triangle and not same:
-        raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
-    K = square_zeros(n) if same else np.empty((n, m))
-    for lo, hi in row_blocks(n, m, upper=same):
-        first = lo if same else 0
-        fill(K[lo:hi, first:], slice(lo, hi), slice(first, None))
-        if same:
-            square = K[lo:hi, lo:hi]
-            below = np.tri(hi - lo, k=-1, dtype=bool)
-            if triangle:
-                square[below] = 0.0
-            else:
-                square[below] = square.T[below]
-                K[hi:, lo:hi] = K[lo:hi, hi:].T
-    if same:
-        np.fill_diagonal(K, diag)
+    if diag is None:
+        if triangle:
+            raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
+        K = np.empty((n, m))
+        for lo, hi in row_blocks(n, m):
+            fill(K[lo:hi], slice(lo, hi), slice(None))
+        return K
+    K = square_zeros(n)
+    tile = np.empty(_largest_block(n, n))
+    for lo, hi in row_blocks(n, n, upper=True):
+        block = tile[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        fill(block, slice(lo, hi), slice(lo, None))
+        K[lo:hi, lo:] = block
+        square = K[lo:hi, lo:hi]
+        below = np.tri(hi - lo, k=-1, dtype=bool)
+        if triangle:
+            square[below] = 0.0
+        else:
+            square[below] = square.T[below]
+            K[hi:, lo:hi] = K[lo:hi, hi:].T
+    np.fill_diagonal(K, diag)
     return K
 
 
@@ -331,8 +346,7 @@ def nngp_kernel(
     row_diags = _diag_layers(X, config)
     col_diags = row_diags if same else _diag_layers(X2, config)
     relu = config.activation == "relu"
-    # room for the largest block: _BLOCK_ELEMS entries, or one row if longer
-    scratch = np.empty((3, min(n * m, max(_BLOCK_ELEMS, m)))) if relu else None
+    scratch = np.empty((3, _largest_block(n, m))) if relu else None
 
     def fill(block, rows, cols):
         block[...] = base_kernel(X[rows], X2[cols], config)

@@ -128,6 +128,19 @@ class TestArtifactFiles:
             with pytest.raises(error, match="header does not match its recorded hash"):
                 load(path)
 
+    def test_header_is_verified_before_it_sizes_a_buffer(self, saved):
+        """A row count raised to 5,000,000 fails as a corrupt header, not as an
+        allocation of the buffers it would size (182 TiB for a model's factor),
+        whether the header hash is left stale or removed."""
+        path, load, error, _, _ = saved
+        head, payload = path.read_bytes().split(b"\n", 1)
+        stale = dict(json.loads(head), n=5_000_000)
+        removed = {k: v for k, v in stale.items() if k != "header_hash"}
+        for bad, message in ((stale, "header does not match its recorded hash"), (removed, "missing or corrupt header")):
+            path.write_bytes(json.dumps(bad, sort_keys=True).encode() + b"\n" + payload)
+            with pytest.raises(error, match=message):
+                load(path)
+
     def test_truncated_or_trailing_bytes_rejected(self, saved):
         path, load, error, _, _ = saved
         data = path.read_bytes()
@@ -141,11 +154,14 @@ class TestArtifactFiles:
         head, payload = path.read_bytes().split(b"\n", 1)
         sizeless = json.loads(head)
         del sizeless["n"]
+        rehashed = {k: v for k, v in sizeless.items() if k != "header_hash"}
+        rehashed["header_hash"] = artifact._header_hash(rehashed)  # as a writer would record it
         cases = [
             (b"not json", "missing or corrupt"),
             (b"[1, 2]", "missing or corrupt"),
             (b"\xff\xfe{}", "missing or corrupt"),
-            (json.dumps(sizeless).encode(), "missing or corrupt"),
+            (json.dumps(sizeless).encode(), "header does not match its recorded hash"),
+            (json.dumps(rehashed).encode(), "missing or corrupt"),
         ]
         for bad, match in cases:
             path.write_bytes(bad + b"\n" + payload)
@@ -176,7 +192,9 @@ def test_chunked_payload_hashes_as_its_concatenation(tmp_path):
     assert payload == packed.astype("<f8").tobytes()
     assert json.loads(head)["tri_hash"] == artifact.payload_hash(packed.shape, [packed])
     out = np.zeros((4, 4), order="F")
-    header = artifact.read(path, ValueError, lambda h: [("tri_hash", "triangle", [out[j:, j] for j in range(4)])])
+    header = artifact.read(
+        path, ValueError, lambda h: None, lambda h: [("tri_hash", "triangle", [out[j:, j] for j in range(4)])]
+    )
     assert header["kind"] == "test" and np.array_equal(out, L)
 
 

@@ -293,6 +293,23 @@ class TestBlockBuild:
         assert np.array_equal(np.triu(tri), np.triu(dense))
         assert not np.any(np.tril(tri, -1))
 
+    @pytest.mark.parametrize("n", [1999, 2000])
+    @pytest.mark.parametrize(
+        "cfg",
+        [KernelConfig(depth=3), KernelConfig(depth=2, activation="erf"), KernelConfig(kernel_family="rbf")],
+        ids=["relu-3", "erf-2", "rbf"],
+    )
+    def test_each_upper_block_is_its_cross_kernel(self, cfg, n):
+        """Above the diagonal, same-batch block K[lo:hi, lo:] is, bit for bit,
+        the cross kernel of its rows against columns lo:, which fills its rows
+        in one contiguous block of the same shape. (The whole K(X, X) need not
+        equal the triangle: GEMM bits depend on the block shape.)"""
+        X = np.random.default_rng(n).uniform(0, 1, (n, 40))
+        tri = kernel_matrix(X, None, cfg, triangle=True)
+        for lo, hi in row_blocks(n, n, upper=True):
+            cross = _prior(X[lo:hi], X[lo:], cfg)
+            assert np.array_equal(np.triu(tri[lo:hi, lo:], 1), np.triu(cross, 1))
+
     def test_triangle_needs_the_same_batch(self):
         X = np.zeros((3, 2))
         with pytest.raises(KernelError, match="same-batch"):
