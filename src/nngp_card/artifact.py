@@ -1,5 +1,8 @@
 """The four file formats of the package: binary, JSON lines, JSON documents and
-CSV. This is the only module that opens a file.
+CSV. This is the only module that opens a file, and every file it writes is
+whole: it is written to a temporary sibling, which replaces the destination
+only after the last byte, so a write that fails leaves the destination as it
+was.
 
 A binary file (a model or an encoded matrix) is one JSON header line with
 sorted keys, then its payloads back to back as little-endian bytes. A payload
@@ -7,9 +10,9 @@ is one array in C order, or an ordered sequence of contiguous chunks (such as
 the columns of a triangle) written back to back. The header holds a hash of
 every payload and `header_hash`, a hash of every other header key, so a load
 verifies every byte it returns and every header value it reads, the header
-before any of its values sizes a buffer. A load checks the payload size
-against the file size, then reads each chunk straight into the caller's
-buffer, without a copy.
+before any of its values sizes a buffer. A load checks the payload size the
+header implies against the file size before any buffer exists, then reads each
+chunk straight into its buffer, without a copy.
 
 A JSON-lines file (queries, labeled workloads, predictions) is a
 `{"_header": ...}` line, then one key-sorted object per record.
@@ -28,9 +31,11 @@ every row as wide as the header, and returns the cells column by column.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +75,21 @@ def _chunks(data) -> tuple[tuple, list]:
     return (sum(chunk.size for chunk in data),), list(data)
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file object on a temporary sibling of `path`, moved onto `path` once
+    the block has written its last byte, and removed if anything raises."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    fh = open(temporary, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
 def write(path, header: dict, payloads) -> None:
     """Write `header` with one hash per payload and `header_hash`, then the payloads.
 
@@ -84,22 +104,24 @@ def write(path, header: dict, payloads) -> None:
         converted.append((key, shape, chunks))
     header = dict(header, **{key: payload_hash(shape, chunks) for key, shape, chunks in converted})
     header["header_hash"] = _header_hash(header)
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for _, _, chunks in converted:
             for chunk in chunks:
                 fh.write(chunk)
 
 
-def read(path, error: type[Exception], check, payloads) -> dict:
-    """The verified header of a file, after filling the caller's payload buffers.
+def read(path, error: type[Exception], check, payloads) -> tuple[dict, dict]:
+    """The verified header of a file, and its payload buffers by hash key.
 
     `check(header)` raises `error` for a file of another format or version;
     it runs first, so an older file, which may record no header hash, is
     named as such. The header hash is verified next, so no value of a
-    corrupted header sizes a buffer. Then `payloads(header)` returns (hash
-    key, name in errors, buffer) for each payload, in file order; a buffer
-    is an array in the disk dtype, or a sequence of such contiguous chunks,
+    corrupted header sizes a buffer. Then `payloads(header)` describes each
+    payload, in file order, as (hash key, name in errors, shape, dtype, make):
+    its hashed shape and disk dtype, from which the file size is checked
+    before any buffer exists, and `make`, None for an array of that shape, or
+    a function returning the buffer as a sequence of contiguous chunks,
     filled in order. Every failure raises `error`.
     """
     with open(path, "rb") as fh:
@@ -115,11 +137,12 @@ def read(path, error: type[Exception], check, payloads) -> dict:
         if _header_hash({k: v for k, v in header.items() if k != "header_hash"}) != header["header_hash"]:
             raise error(f"{path}: header does not match its recorded hash")
         try:
-            specs = payloads(header)
+            specs = [(key, what, shape, _disk(dtype), make) for key, what, shape, dtype, make in payloads(header)]
         except (KeyError, TypeError, ValueError):
             raise error(f"{path}: missing or corrupt header") from None
-        specs = [(key, what, *_chunks(buffer)) for key, what, buffer in specs]
-        expected = sum(chunk.nbytes for *_, chunks in specs for chunk in chunks)
+        if any(type(length) is not int or length < 0 for _, _, shape, _, _ in specs for length in shape):
+            raise error(f"{path}: missing or corrupt header")
+        expected = sum(math.prod(shape) * dtype.itemsize for _, _, shape, dtype, _ in specs)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
             raise error(f"{path}: payload has {size} bytes, expected {expected} (truncated?)")
@@ -130,16 +153,18 @@ def read(path, error: type[Exception], check, payloads) -> dict:
                     raise error(f"{path}: {what} payload is truncated")
                 yield chunk
 
-        for key, what, shape, chunks in specs:
+        buffers = {}
+        for key, what, shape, dtype, make in specs:
+            buffers[key] = np.empty(shape, dtype) if make is None else make()
             # each chunk is hashed right after it is read, while it is in cache
-            if payload_hash(shape, filled(what, chunks)) != header.get(key):
+            if payload_hash(shape, filled(what, _chunks(buffers[key])[1])) != header.get(key):
                 raise error(f"{path}: {what} payload does not match its recorded hash")
-    return header
+    return header, buffers
 
 
 def write_jsonl(path, header: dict | None, records: Iterable[dict]) -> None:
     """Write a `{"_header": header}` line unless `header` is None, then one key-sorted object per record."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(json.dumps({"_header": header}, sort_keys=True, allow_nan=False) + "\n")
         for record in records:
@@ -214,7 +239,7 @@ def write_json(path, doc: dict) -> None:
     """Write `doc` as one key-sorted JSON document with an indent of 2 and a
     trailing newline; a value JSON cannot hold (NaN) raises before the file opens."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -247,7 +272,7 @@ def check_fields(doc, where, error: type[Exception], required: dict, optional: d
 
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
     """Write the `header` row, then one row per index of the equally long string `columns`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*columns))

@@ -461,10 +461,6 @@ def _add_kernel_flags(sub):
     group.add_argument("--depth", type=int, help="number of hidden layers")
     group.add_argument("--activation", choices=["relu", "erf"], help="hidden nonlinearity")
     group.add_argument("--noise-sq", dest="noise_sq", type=float, help="observation noise variance")
-    group.add_argument(
-        "--kernel-family", dest="kernel_family", choices=["nngp", "rbf"], help="covariance family"
-    )
-    group.add_argument("--length-scale", dest="length_scale", type=float, help="RBF length scale")
     sub.add_argument("--config", help="JSON config file (flags override file values)")
 
 

@@ -246,23 +246,18 @@ def save_encoded(
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
     """Load an encoded batch, every payload verified: (matrix, ids, targets_log, header)."""
 
-    arrays = {}
-
     def check(header):
         if header.get("format") != MATRIX_FORMAT:
             raise EncodingError(f"{path}: unexpected format {header.get('format')!r}")
 
     def payloads(header):
         n, dim = int(header["n"]), int(header["d_enc"])
-        arrays["matrix_hash"] = np.empty((n, dim), "<f8")
-        specs = [("matrix_hash", "matrix", arrays["matrix_hash"])]
+        specs = [("matrix_hash", "matrix", (n, dim), "<f8", None)]
         if header["has_ids"]:
-            arrays["ids_hash"] = np.empty(n, "<i8")
-            specs.append(("ids_hash", "id", arrays["ids_hash"]))
+            specs.append(("ids_hash", "id", (n,), "<i8", None))
         if header["has_targets"]:
-            arrays["targets_hash"] = np.empty(n, "<f8")
-            specs.append(("targets_hash", "target", arrays["targets_hash"]))
+            specs.append(("targets_hash", "target", (n,), "<f8", None))
         return specs
 
-    header = artifact.read(path, EncodingError, check, payloads)
+    header, arrays = artifact.read(path, EncodingError, check, payloads)
     return arrays["matrix_hash"], arrays.get("ids_hash"), arrays.get("targets_hash"), header

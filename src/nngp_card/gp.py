@@ -48,7 +48,7 @@ JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 _WHITEN_COLS = 512
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 
 class FitError(Exception):
@@ -381,12 +381,13 @@ class Whitened:
 # ---------------------------------------------------------------------------
 
 
-# (estimator field, header key of its hash, name in errors), in file order
+# (estimator field, header key of its hash, name in errors, hashed shape for n
+# rows of d features), in file order; the factor is stored as its lower triangle
 _PAYLOADS = (
-    ("X_train", "train_hash", "training-feature"),
-    ("y_log", "target_hash", "target"),
-    ("chol", "chol_hash", "Cholesky-factor"),
-    ("w", "w_hash", "whitened-target"),
+    ("X_train", "train_hash", "training-feature", lambda n, d: (n, d)),
+    ("y_log", "target_hash", "target", lambda n, d: (n,)),
+    ("chol", "chol_hash", "Cholesky-factor", lambda n, d: (n * (n + 1) // 2,)),
+    ("w", "w_hash", "whitened-target", lambda n, d: (n,)),
 )
 
 
@@ -413,7 +414,7 @@ def save(estimator: CardinalityEstimator, path) -> None:
         "jitter": estimator.jitter,
     }
     data = dict(vars(estimator), chol=_lower_columns(estimator.chol))
-    payloads = [(key, data[field], np.float64) for field, key, _ in _PAYLOADS]
+    payloads = [(key, data[field], np.float64) for field, key, _, _ in _PAYLOADS]
     artifact.write(path, header, payloads)
 
 
@@ -438,16 +439,19 @@ def load(path) -> CardinalityEstimator:
         except KernelError:
             raise ModelIOError(f"{path}: missing or corrupt header") from None
         n, d = int(header["n"]), int(header["d_enc"])
-        fields.update(
-            X_train=np.empty((n, d), "<f8"),
-            y_log=np.empty(n, "<f8"),
-            chol=square_zeros(n, "F", "<f8"),
-            w=np.empty(n, "<f8"),
-        )
-        buffers = dict(fields, chol=_lower_columns(fields["chol"]))
-        return [(key, what, buffers[field]) for field, key, what in _PAYLOADS]
 
-    header = artifact.read(path, ModelIOError, check, payloads)
+        def factor():
+            fields["chol"] = square_zeros(n, "F", "<f8")
+            return _lower_columns(fields["chol"])
+
+        return [
+            (key, what, shape(n, d), "<f8", factor if field == "chol" else None)
+            for field, key, what, shape in _PAYLOADS
+        ]
+
+    header, buffers = artifact.read(path, ModelIOError, check, payloads)
+    for field, key, _, _ in _PAYLOADS:
+        fields.setdefault(field, buffers[key])
     return CardinalityEstimator(
         **fields,
         layout_hash=header.get("layout_hash", ""),

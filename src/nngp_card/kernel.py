@@ -1,4 +1,4 @@
-"""Covariance functions: the infinite-width network kernel and an RBF baseline.
+"""The covariance function: the infinite-width network kernel.
 
 The network kernel starts from the linear-readout base case
 
@@ -20,22 +20,22 @@ The bias of a shared additive bias term lands on every entry, diagonal and
 off-diagonal alike, as in the infinite-width limit.
 
 Given the per-layer diagonals, which follow their own recurrence, every
-layer step is elementwise. A kernel matrix is therefore built in row blocks
-of a fixed number of entries: each block gets its base values and then every
-depth layer, in place, while it is in cache. A same-batch matrix computes
-only its upper row blocks K[lo:hi, lo:], each in one contiguous tile, since
-the view itself is strided and ragged and every elementwise pass is slower
-on it. It copies each into a zeroed buffer and either mirrors it (the dense
-matrix) or leaves the strict lower triangle 0 (triangle=True, the half a
-Cholesky never reads), so a build allocates one n x m output and block-sized
-tile and scratch, nothing more. The zeroed buffer comes from `square_zeros`,
-which declines transparent huge pages: numpy advises them for every array of
-4 MiB or more, and a 2 MiB page would back the untouched triangle along with
-the written one. So the triangle takes about 4n^2 resident bytes, while
-tracemalloc, which counts numpy's allocation, still sees 8n^2. The RBF
-baseline is built by the same blocks.
+layer step is elementwise. `nngp_kernel` therefore builds a matrix in row
+blocks of a fixed number of entries: each block gets its base values and then
+every depth layer, in place, while it is in cache. A same-batch matrix
+computes only its upper row blocks K[lo:hi, lo:], each in one contiguous
+tile, since the view itself is strided and ragged and every elementwise pass
+is slower on it. It copies each into a zeroed buffer and either mirrors it
+(the dense matrix) or leaves the strict lower triangle 0 (triangle=True, the
+half a Cholesky never reads), so a build allocates one n x m output and
+block-sized tile and scratch, nothing more. The zeroed buffer comes from
+`square_zeros`, which declines transparent huge pages: numpy advises them for
+every array of 4 MiB or more, and a 2 MiB page would back the untouched
+triangle along with the written one. So the triangle takes about 4n^2
+resident bytes, while tracemalloc, which counts numpy's allocation, still
+sees 8n^2.
 
-`nngp_kernel` and `rbf_kernel` return the noise-free prior covariance.
+`nngp_kernel` returns the noise-free prior covariance.
 Observation noise is the regressor's: `kernel_matrix` is the one place that
 puts it on a kernel, on the diagonal of the same-batch (training) matrix;
 its cross-batch matrices carry none.
@@ -72,27 +72,24 @@ class KernelError(Exception):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Prior variances, depth, activation, observation noise, kernel family."""
+    """Prior variances, depth, activation and observation noise of the network kernel."""
 
     sigma_w_sq: float = 1.6
     sigma_b_sq: float = 0.1
     depth: int = 3
     activation: str = "relu"
     noise_sq: float = 1e-3
-    kernel_family: str = "nngp"
-    length_scale: float = 1.0
 
     def __post_init__(self):
         # checked, not coerced: a model header records the values as given
-        for name in ("sigma_w_sq", "sigma_b_sq", "noise_sq", "length_scale"):
+        for name in ("sigma_w_sq", "sigma_b_sq", "noise_sq"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise KernelError(f"{name} must be a finite number, got {value!r}")
         if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral):
             raise KernelError(f"depth must be an integer, got {self.depth!r}")
-        for name in ("activation", "kernel_family"):
-            if not isinstance(getattr(self, name), str):
-                raise KernelError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.activation, str):
+            raise KernelError(f"activation must be a string, got {self.activation!r}")
         if self.sigma_w_sq <= 0:
             raise KernelError(f"sigma_w_sq must be > 0, got {self.sigma_w_sq}")
         if self.sigma_b_sq < 0:
@@ -103,10 +100,6 @@ class KernelConfig:
             raise KernelError(f"depth must be >= 0, got {self.depth}")
         if self.activation not in ("relu", "erf"):
             raise KernelError(f"unknown activation {self.activation!r}")
-        if self.kernel_family not in ("nngp", "rbf"):
-            raise KernelError(f"unknown kernel family {self.kernel_family!r}")
-        if self.length_scale <= 0:
-            raise KernelError(f"length_scale must be > 0, got {self.length_scale}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -245,8 +238,6 @@ def _diag_layers(X: np.ndarray, config: KernelConfig) -> list:
 
 def kernel_diag(X: np.ndarray, config: KernelConfig) -> np.ndarray:
     """K(x, x) per row, without observation noise."""
-    if config.kernel_family == "rbf":
-        return np.ones(len(X), dtype=np.float64)
     return _diag_layers(X, config)[-1]
 
 
@@ -289,44 +280,6 @@ def square_zeros(n: int, order: str = "C", dtype=np.float64) -> np.ndarray:
     return A
 
 
-def _block_build(n: int, m: int, diag: Optional[np.ndarray], fill, triangle: bool) -> np.ndarray:
-    """A kernel matrix filled row block by row block by fill(block, rows, cols).
-
-    diag=None builds the n x m cross matrix, whole, each block in place: its
-    rows are full width, so a block is contiguous. Otherwise the matrix is the
-    n x n same-batch one: only its upper row blocks K[lo:hi, lo:] are filled,
-    each in one C-contiguous tile allocated once per build (the passes run
-    faster there than on the strided view, in the same order, to the same
-    bits), then copied into a zeroed buffer. Each block's entries below the
-    diagonal are then zeroed (triangle=True) or mirrored from the transposed
-    entries above it, and the diagonal is set to `diag`. The upper triangle
-    is therefore the same, bit for bit, in both layouts, and the triangle is
-    exactly what a lower Cholesky of the Fortran-order K.T reads.
-    """
-    if diag is None:
-        if triangle:
-            raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
-        K = np.empty((n, m))
-        for lo, hi in row_blocks(n, m):
-            fill(K[lo:hi], slice(lo, hi), slice(None))
-        return K
-    K = square_zeros(n)
-    tile = np.empty(_largest_block(n, n))
-    for lo, hi in row_blocks(n, n, upper=True):
-        block = tile[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        fill(block, slice(lo, hi), slice(lo, None))
-        K[lo:hi, lo:] = block
-        square = K[lo:hi, lo:hi]
-        below = np.tri(hi - lo, k=-1, dtype=bool)
-        if triangle:
-            square[below] = 0.0
-        else:
-            square[below] = square.T[below]
-            K[hi:, lo:hi] = K[lo:hi, hi:].T
-    np.fill_diagonal(K, diag)
-    return K
-
-
 def nngp_kernel(
     X: np.ndarray,
     X2: Optional[np.ndarray] = None,
@@ -335,20 +288,34 @@ def nngp_kernel(
 ) -> np.ndarray:
     """Depth-recursed network kernel matrix, without observation noise.
 
-    X2=None computes the symmetric same-batch matrix from its upper row blocks
-    (see `_block_build`; triangle=True leaves the strict lower triangle 0),
-    with the diagonal taken from the exact diagonal recurrence, so it equals
-    `kernel_diag`. Depth 0 is exactly the base kernel.
+    It is built row block by row block, as the module docstring describes. A
+    cross matrix K(X, X2) is built in place: its rows are full width, so each
+    block is contiguous. X2=None builds the symmetric same-batch matrix: each
+    upper block K[lo:hi, lo:] is built in one C-contiguous tile, allocated
+    once per build, by the same passes in the same order, to the same bits,
+    then copied in, and its entries below the diagonal are zeroed
+    (triangle=True) or mirrored from those above it. So the upper triangle is
+    the same, bit for bit, in both layouts, and the triangle is exactly what a
+    lower Cholesky of the Fortran-order K.T reads. The diagonal comes from the
+    exact diagonal recurrence, so it equals `kernel_diag`. Depth 0 is exactly
+    the base kernel.
     """
     same = X2 is None
     X, X2 = _batches(X, X2)
     n, m = len(X), len(X2)
+    if triangle and not same:
+        raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
     row_diags = _diag_layers(X, config)
     col_diags = row_diags if same else _diag_layers(X2, config)
     relu = config.activation == "relu"
     scratch = np.empty((3, _largest_block(n, m))) if relu else None
-
-    def fill(block, rows, cols):
+    if same:
+        K, tile = square_zeros(n), np.empty(_largest_block(n, n))
+    else:
+        K = np.empty((n, m))
+    for lo, hi in row_blocks(n, m, upper=same):
+        rows, cols = slice(lo, hi), (slice(lo, None) if same else slice(None))
+        block = tile[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo) if same else K[rows]
         block[...] = base_kernel(X[rows], X2[cols], config)
         if relu:
             block_scratch = [buf[: block.size].reshape(block.shape) for buf in scratch]
@@ -358,32 +325,18 @@ def nngp_kernel(
                 _relu_step(block, k_xx, k_xpxp, config, block_scratch)
             else:
                 _erf_step(block, k_xx, k_xpxp, config)
-
-    return _block_build(n, m, row_diags[-1] if same else None, fill, triangle)
-
-
-def rbf_kernel(
-    X: np.ndarray,
-    X2: Optional[np.ndarray] = None,
-    length_scale: float = 1.0,
-    triangle: bool = False,
-) -> np.ndarray:
-    """Stationary baseline kernel exp(-||x - x'||^2 / (2 l^2)), built in row blocks."""
-    if length_scale <= 0:
-        raise KernelError(f"length_scale must be > 0, got {length_scale}")
-    same = X2 is None
-    X, X2 = _batches(X, X2)
-    sq1 = np.einsum("ij,ij->i", X, X)
-    sq2 = sq1 if same else np.einsum("ij,ij->i", X2, X2)
-
-    def fill(block, rows, cols):
-        np.add(sq1[rows, None], sq2[None, cols], out=block)
-        block -= 2.0 * (X[rows] @ X2[cols].T)
-        np.maximum(block, 0.0, out=block)
-        block /= -2.0 * length_scale**2
-        np.exp(block, out=block)
-
-    return _block_build(len(X), len(X2), np.ones(len(X)) if same else None, fill, triangle)
+        if same:
+            K[lo:hi, lo:] = block
+            square = K[lo:hi, lo:hi]
+            below = np.tri(hi - lo, k=-1, dtype=bool)
+            if triangle:
+                square[below] = 0.0
+            else:
+                square[below] = square.T[below]
+                K[hi:, lo:hi] = K[lo:hi, hi:].T
+    if same:
+        np.fill_diagonal(K, row_diags[-1])
+    return K
 
 
 def kernel_matrix(
@@ -392,17 +345,14 @@ def kernel_matrix(
     config: KernelConfig = KernelConfig(),
     triangle: bool = False,
 ) -> np.ndarray:
-    """The regressor's covariance of the configured kernel family.
+    """The regressor's covariance: the network kernel plus observation noise.
 
     X2=None gives the training covariance K(X, X) + noise_sq * I; a cross
     matrix K(X, X2) carries no noise. triangle=True, for the training
     covariance only, leaves its strict lower triangle 0 instead of mirroring
     the upper one: the C-order upper triangle is all that `gp.fit` factors.
     """
-    if config.kernel_family == "rbf":
-        K = rbf_kernel(X, X2, config.length_scale, triangle)
-    else:
-        K = nngp_kernel(X, X2, config, triangle)
+    K = nngp_kernel(X, X2, config, triangle)
     if X2 is None:
         K[np.diag_indices_from(K)] += config.noise_sq
     return K

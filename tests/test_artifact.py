@@ -141,6 +141,21 @@ class TestArtifactFiles:
             with pytest.raises(error, match=message):
                 load(path)
 
+    def test_oversized_header_fails_on_the_file_size(self, saved):
+        """A row count raised and re-hashed, as a writer would record it, fails on
+        the file size before any buffer exists, where the buffers it sizes could
+        not be allocated: a model's 5,000,000^2 factor, or 5 * 10^12 encoded rows,
+        182 TiB each."""
+        path, load, error, _, _ = saved
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["n"] = 5_000_000 if error is ModelIOError else 5 * 10**12
+        del header["header_hash"]
+        header["header_hash"] = artifact._header_hash(header)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(error, match=rf"payload has {len(payload)} bytes, expected \d+ "):
+            load(path)
+
     def test_truncated_or_trailing_bytes_rejected(self, saved):
         path, load, error, _, _ = saved
         data = path.read_bytes()
@@ -192,10 +207,12 @@ def test_chunked_payload_hashes_as_its_concatenation(tmp_path):
     assert payload == packed.astype("<f8").tobytes()
     assert json.loads(head)["tri_hash"] == artifact.payload_hash(packed.shape, [packed])
     out = np.zeros((4, 4), order="F")
-    header = artifact.read(
-        path, ValueError, lambda h: None, lambda h: [("tri_hash", "triangle", [out[j:, j] for j in range(4)])]
+    header, buffers = artifact.read(
+        path, ValueError, lambda h: None,
+        lambda h: [("tri_hash", "triangle", (10,), "<f8", lambda: [out[j:, j] for j in range(4)])],
     )
     assert header["kind"] == "test" and np.array_equal(out, L)
+    assert all(np.shares_memory(chunk, out) for chunk in buffers["tri_hash"])
 
 
 def test_hash_covers_shape_and_bytes():
@@ -357,6 +374,31 @@ class TestCsv:
         with pytest.raises(JsonlError) as info:
             artifact.read_csv(path, JsonlError)
         assert str(info.value) == f"{path}: {message}"
+
+
+def _cut_after(items):
+    yield from items
+    raise RuntimeError("cut mid-stream")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(lambda p: artifact.write_jsonl(p, {"n": 3}, _cut_after([{"a": 1}] * 2)), id="jsonl"),
+        pytest.param(lambda p: artifact.write_csv(p, ["a"], [_cut_after(["1"] * 2)]), id="csv"),
+    ],
+)
+def test_a_write_cut_mid_stream_leaves_the_previous_file(tmp_path, write):
+    """The previous file stays as it was, and no temporary sibling is left behind;
+    a whole write then replaces it, again with no sibling left."""
+    path = tmp_path / "out"
+    artifact.write_json(path, {"previous": True})
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="cut mid-stream"):
+        write(path)
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+    artifact.write_jsonl(path, None, [{"a": 1}])
+    assert path.read_bytes() == b'{"a": 1}\n' and list(tmp_path.iterdir()) == [path]
 
 
 # the calls that open a file, as a bare name or as a method (`Path.open`, `os.open`, ...)

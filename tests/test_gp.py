@@ -9,7 +9,7 @@ import pytest
 
 from nngp_card import artifact, gp
 from nngp_card.gp import FitError, ModelIOError
-from nngp_card.kernel import KernelConfig, kernel_diag, kernel_matrix, nngp_kernel, rbf_kernel
+from nngp_card.kernel import KernelConfig, kernel_diag, kernel_matrix, nngp_kernel
 
 
 @pytest.fixture
@@ -66,9 +66,8 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)]
-        + [KernelConfig(kernel_family="rbf", length_scale=0.8)],
-        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)] + ["rbf"],
+        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)],
+        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)],
     )
     @pytest.mark.parametrize("noise_sq", [1e-3, 0.0])
     def test_factor_is_the_noise_free_kernel_plus_noise_and_jitter(self, cfg, noise_sq):
@@ -78,10 +77,7 @@ class TestFit:
         cfg = dataclasses.replace(cfg, noise_sq=noise_sq)
         est = gp.fit(X, rng.uniform(0, 8, 40), cfg)
         assert (est.jitter > 0.0) == (noise_sq == 0.0)
-        if cfg.kernel_family == "rbf":
-            K = rbf_kernel(X, None, cfg.length_scale)
-        else:
-            K = nngp_kernel(X, None, cfg)
+        K = nngp_kernel(X, None, cfg)
         assert np.array_equal(np.diagonal(K), kernel_diag(X, cfg))
         K[np.diag_indices_from(K)] += noise_sq + est.jitter
         assert np.linalg.norm(est.chol @ est.chol.T - K) / np.linalg.norm(K) < 1e-12
@@ -120,14 +116,15 @@ class TestFit:
         est, _ = model_3000
         assert est.chol.flags.f_contiguous and not np.any(np.triu(est.chol, 1))
 
-    def test_failed_rung_releases_its_buffer_before_the_rebuild(self):
-        # one duplicated row and no noise: the kernel is singular, the first
-        # relative jitter makes it factor
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_failed_rung_releases_its_buffer_before_the_rebuild(self, seed):
+        # depth 0 on d = 2 features with no noise: the kernel has rank at most
+        # d + 1 = 3, so it is singular on every seed, and the first relative
+        # jitter makes it factor
         n = 1500
-        rng = np.random.default_rng(5)
-        X, y = rng.uniform(0, 1, (n, 12)), rng.uniform(0, 8, n)
-        X[-1] = X[0]
-        cfg = KernelConfig(noise_sq=0.0)
+        rng = np.random.default_rng(seed)
+        X, y = rng.uniform(0, 1, (n, 2)), rng.uniform(0, 8, n)
+        cfg = KernelConfig(depth=0, noise_sq=0.0)
         tracemalloc.start()
         try:
             est = gp.fit(X, y, cfg)
@@ -156,13 +153,12 @@ def _rel(a, b):
 
 
 EXTEND_CONFIGS = [KernelConfig(activation=act, depth=depth) for act in ("relu", "erf") for depth in range(5)]
-EXTEND_CONFIGS.append(KernelConfig(kernel_family="rbf"))
 
 
 class TestExtend:
     @pytest.mark.parametrize("k", [1, 50])
     @pytest.mark.parametrize(
-        "cfg", EXTEND_CONFIGS, ids=[f"{c.kernel_family}-{c.activation}-{c.depth}" for c in EXTEND_CONFIGS]
+        "cfg", EXTEND_CONFIGS, ids=[f"nngp-{c.activation}-{c.depth}" for c in EXTEND_CONFIGS]
     )
     def test_matches_fit_on_the_union(self, cfg, k):
         rng = np.random.default_rng(8)
@@ -366,14 +362,6 @@ class TestPredict:
         with pytest.raises(ModelIOError, match="non-finite"):
             gp.predict(est, X_test)
 
-    def test_rbf_family_trains_and_interpolates(self, small_data):
-        X, y = small_data
-        cfg = KernelConfig(kernel_family="rbf", length_scale=0.8, noise_sq=0.0)
-        est = gp.fit(X, y, cfg)
-        pred = gp.predict(est, X)
-        np.testing.assert_allclose(pred.mean_log, y, atol=1e-5)
-        assert np.all(pred.var_log <= 1e-5)
-
 
     def test_predict_solves_in_the_cross_kernel_buffer(self, model_3000):
         est, _ = model_3000
@@ -543,8 +531,9 @@ class TestPersistence:
             gp.load(path)
         # version-1 configs hold a kernel key that KernelConfig no longer has;
         # version-2 files carry no hashes of the factor and the weights;
-        # version-3 files store the full factor and carry no header hash
-        for version in (1, 2, 3):
+        # version-3 files store the full factor and carry no header hash;
+        # version-5 configs hold the two RBF keys KernelConfig no longer has
+        for version in (1, 2, 3, 5):
             path.write_bytes(json.dumps({"format": gp.MODEL_FORMAT, "version": version}).encode() + b"\n")
             with pytest.raises(ModelIOError, match="unsupported model version"):
                 gp.load(path)

@@ -18,18 +18,10 @@ from nngp_card.kernel import (
     kernel_diag,
     kernel_matrix,
     nngp_kernel,
-    rbf_kernel,
     relu_layer_step,
     row_blocks,
     square_zeros,
 )
-
-
-def _prior(X, X2, cfg):
-    """The noise-free covariance of cfg's kernel family."""
-    if cfg.kernel_family == "rbf":
-        return rbf_kernel(X, X2, cfg.length_scale)
-    return nngp_kernel(X, X2, cfg)
 
 
 class TestConfig:
@@ -41,27 +33,24 @@ class TestConfig:
             {"noise_sq": -1.0},
             {"depth": -1},
             {"activation": "tanh"},
-            {"kernel_family": "matern"},
-            {"length_scale": 0.0},
             {"noise_sq": float("nan")},
             {"sigma_w_sq": float("inf")},
             {"sigma_b_sq": None},
             {"noise_sq": "0.1"},
-            {"length_scale": True},
             {"depth": 2.5},
             {"depth": True},
             {"depth": "3"},
             {"activation": 1},
-            {"kernel_family": None},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(KernelError):
             KernelConfig(**kwargs)
 
-    def test_unknown_keys_rejected(self):
+    @pytest.mark.parametrize("doc", [{"sigma_w_sq": 1.0, "bogus": 2}, {"kernel_family": "nngp"}])
+    def test_unknown_keys_rejected(self, doc):
         with pytest.raises(KernelError, match="unknown kernel config keys"):
-            KernelConfig.from_dict({"sigma_w_sq": 1.0, "bogus": 2})
+            KernelConfig.from_dict(doc)
 
     def test_round_trip(self):
         cfg = KernelConfig(depth=5, activation="erf")
@@ -200,19 +189,19 @@ class TestDepthRecursion:
         np.testing.assert_allclose(cross, full[:5, 5:], atol=1e-12)
 
     def test_noise_only_on_same_batch_diagonal(self):
-        # the family kernels are noise-free; kernel_matrix adds noise_sq to
-        # the same-batch diagonal and nowhere else
+        # nngp_kernel is noise-free; kernel_matrix adds noise_sq to the
+        # same-batch diagonal and nowhere else
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (5, 4))
-        for cfg in (KernelConfig(depth=1, noise_sq=0.25), KernelConfig(kernel_family="rbf", noise_sq=0.25)):
-            without = _prior(X, None, cfg)
-            assert np.array_equal(np.diagonal(without), kernel_diag(X, cfg))
-            expected = without.copy()
-            expected[np.diag_indices_from(expected)] += 0.25
-            assert np.array_equal(kernel_matrix(X, None, cfg), expected)
-            cross = kernel_matrix(X, X.copy(), cfg)
-            assert np.array_equal(cross, _prior(X, X.copy(), cfg))
-            np.testing.assert_allclose(cross, without, atol=1e-12)
+        cfg = KernelConfig(depth=1, noise_sq=0.25)
+        without = nngp_kernel(X, None, cfg)
+        assert np.array_equal(np.diagonal(without), kernel_diag(X, cfg))
+        expected = without.copy()
+        expected[np.diag_indices_from(expected)] += 0.25
+        assert np.array_equal(kernel_matrix(X, None, cfg), expected)
+        cross = kernel_matrix(X, X.copy(), cfg)
+        assert np.array_equal(cross, nngp_kernel(X, X.copy(), cfg))
+        np.testing.assert_allclose(cross, without, atol=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(8)
@@ -281,9 +270,8 @@ class TestBlockBuild:
     @pytest.mark.parametrize("n", [1, 7, 2000])
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)]
-        + [KernelConfig(kernel_family="rbf", length_scale=0.8)],
-        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)] + ["rbf"],
+        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)],
+        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)],
     )
     def test_triangle_is_the_dense_upper_triangle(self, cfg, n):
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
@@ -296,8 +284,8 @@ class TestBlockBuild:
     @pytest.mark.parametrize("n", [1999, 2000])
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=3), KernelConfig(depth=2, activation="erf"), KernelConfig(kernel_family="rbf")],
-        ids=["relu-3", "erf-2", "rbf"],
+        [KernelConfig(depth=3), KernelConfig(depth=2, activation="erf")],
+        ids=["relu-3", "erf-2"],
     )
     def test_each_upper_block_is_its_cross_kernel(self, cfg, n):
         """Above the diagonal, same-batch block K[lo:hi, lo:] is, bit for bit,
@@ -307,8 +295,25 @@ class TestBlockBuild:
         X = np.random.default_rng(n).uniform(0, 1, (n, 40))
         tri = kernel_matrix(X, None, cfg, triangle=True)
         for lo, hi in row_blocks(n, n, upper=True):
-            cross = _prior(X[lo:hi], X[lo:], cfg)
+            cross = nngp_kernel(X[lo:hi], X[lo:], cfg)
             assert np.array_equal(np.triu(tri[lo:hi, lo:], 1), np.triu(cross, 1))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ReLU step computes a duplicate's off-diagonal entry by the arc-cosine "
+        "form and the diagonal by its own recurrence; they differ in the last bits on some seeds",
+    )
+    def test_duplicated_row_off_diagonal_equals_its_diagonal(self):
+        """A duplicated row's off-diagonal entry equals its diagonal, bit for bit,
+        so a duplicated training row without noise leaves the kernel singular."""
+        differ = []
+        for seed in range(60):
+            X = np.random.default_rng(seed).uniform(0, 1, (300, 12))
+            X[-1] = X[0]
+            K = nngp_kernel(X, None, KernelConfig())
+            if K[0, -1] != K[0, 0]:
+                differ.append(seed)
+        assert differ == []
 
     def test_triangle_needs_the_same_batch(self):
         X = np.zeros((3, 2))
@@ -366,28 +371,3 @@ class TestSquareZeros:
             A[i, i:] = 1.0
         assert _resident_bytes() - before <= 0.75 * A.nbytes
 
-
-class TestRbf:
-    def test_self_similarity_is_one(self):
-        X = np.array([[0.3, 0.4]])
-        assert rbf_kernel(X, None, 2.0)[0, 0] == 1.0
-
-    def test_characteristic_distance(self):
-        l = 0.7
-        X = np.array([[0.0, 0.0]])
-        X2 = np.array([[l * math.sqrt(2), 0.0]])
-        assert rbf_kernel(X, X2, l)[0, 0] == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_matches_scalar_recomputation(self):
-        rng = np.random.default_rng(12)
-        X = rng.uniform(-1, 1, (4, 3))
-        X2 = rng.uniform(-1, 1, (5, 3))
-        K = rbf_kernel(X, X2, 1.3)
-        for i in range(4):
-            for j in range(5):
-                d2 = sum((float(X[i, k]) - float(X2[j, k])) ** 2 for k in range(3))
-                assert K[i, j] == pytest.approx(math.exp(-d2 / (2 * 1.3**2)), rel=1e-10)
-
-    def test_length_scale_validated(self):
-        with pytest.raises(KernelError):
-            rbf_kernel(np.zeros((1, 2)), None, 0.0)
