@@ -401,6 +401,25 @@ def test_a_write_cut_mid_stream_leaves_the_previous_file(tmp_path, write):
     assert path.read_bytes() == b'{"a": 1}\n' and list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(lambda p: artifact.write(p, {"kind": "test"}, [("x_hash", np.zeros(3), "<f8")]), id="binary"),
+        pytest.param(lambda p: artifact.write_jsonl(p, None, [{"a": 1}]), id="jsonl"),
+        pytest.param(lambda p: artifact.write_json(p, {"a": 1}), id="json"),
+        pytest.param(lambda p: artifact.write_csv(p, ["a"], [["1"]]), id="csv"),
+    ],
+)
+def test_a_failed_replace_leaves_no_sibling(tmp_path, write):
+    """A destination that is a directory fails only at the final replace, after
+    the last byte is written; the temporary sibling is removed all the same."""
+    path = tmp_path / "out"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write(path)
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+
+
 # the calls that open a file, as a bare name or as a method (`Path.open`, `os.open`, ...)
 _OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 

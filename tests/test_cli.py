@@ -555,6 +555,23 @@ class TestGuards:
             assert {f.name: getattr(args, f.name) for f in fields} == KernelConfig().to_dict(), command[0]
 
 
+    @pytest.mark.parametrize("flag", ["--kernel-family=rbf", "--length-scale=0.8"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["train", "--encoded", "e.bin", "--model", "m.bin"], id="train"),
+            pytest.param(["active-learn", "--catalog", "c.json", "--train", "t", "--pool", "p", "--test", "s",
+                          "--out", "o"], id="active-learn"),
+        ],
+    )
+    def test_removed_kernel_flags_rejected(self, capsys, command, flag):
+        # the network kernel is the one family, so neither flag exists
+        with pytest.raises(SystemExit) as info:
+            cli.main(command + [flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def _snapshot(argv) -> dict:
     """Every file and directory under the directories that hold `argv`'s paths (a path
     that does not exist counts by its nearest existing ancestor), with each file's bytes."""
@@ -598,6 +615,8 @@ class TestInputDocuments:
             pytest.param('{"kernel": {"depth": 2.5}}', "KernelError", id="wrong-type-depth"),
             pytest.param('{"kernel": {"depth": true}}', "KernelError", id="wrong-type-bool-depth"),
             pytest.param('{"kernel": {"noise_sq": null}}', "KernelError", id="wrong-type-null"),
+            pytest.param('{"kernel": {"kernel_family": "rbf"}}', "KernelError", id="removed-key-kernel-family"),
+            pytest.param('{"kernel": {"length_scale": 0.8}}', "KernelError", id="removed-key-length-scale"),
             pytest.param('{"encoder": {"chunk_size": "8"}}', "EncodingError", id="wrong-type-encoder"),
             pytest.param('{"encoder": {"chunk_size": 0}}', "EncodingError", id="zero-chunk-size"),
         ],

@@ -41,13 +41,19 @@ class TestConfig:
             {"depth": True},
             {"depth": "3"},
             {"activation": 1},
+            {"sigma_b_sq": False},
+            {"noise_sq": True},
+            {"activation": "ReLU"},
+            {"depth": None},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(KernelError):
             KernelConfig(**kwargs)
 
-    @pytest.mark.parametrize("doc", [{"sigma_w_sq": 1.0, "bogus": 2}, {"kernel_family": "nngp"}])
+    @pytest.mark.parametrize(
+        "doc", [{"sigma_w_sq": 1.0, "bogus": 2}, {"kernel_family": "nngp"}, {"length_scale": 0.8}]
+    )
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(KernelError, match="unknown kernel config keys"):
             KernelConfig.from_dict(doc)
