@@ -459,7 +459,6 @@ def _add_kernel_flags(sub):
     group.add_argument("--sigma-w-sq", dest="sigma_w_sq", type=float, help="weight prior variance")
     group.add_argument("--sigma-b-sq", dest="sigma_b_sq", type=float, help="bias prior variance")
     group.add_argument("--depth", type=int, help="number of hidden layers")
-    group.add_argument("--activation", choices=["relu", "erf"], help="hidden nonlinearity")
     group.add_argument("--noise-sq", dest="noise_sq", type=float, help="observation noise variance")
     sub.add_argument("--config", help="JSON config file (flags override file values)")
 

@@ -1,7 +1,7 @@
-"""Sampling-based oracles for the closed-form kernels, plus self-checks.
+"""Sampling-based oracles for the closed-form ReLU kernel, plus self-checks.
 
-Nothing here shares code with the analytic kernel steps: expectations are
-estimated by drawing bivariate normals, and finite-width networks are
+Nothing here shares code with the analytic kernel step: the ReLU expectation
+is estimated by drawing bivariate normals, and finite-width ReLU networks are
 actually sampled. The CLI `selfcheck` subcommand runs reduced versions of
 the same checks the test suite uses.
 """
@@ -12,19 +12,17 @@ import math
 import time
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import gp
-from .kernel import KernelConfig, nngp_kernel
+from .kernel import KernelConfig, nngp_kernel, relu_layer_step
 
 
 def random_psd_case(rng: np.random.Generator) -> tuple[float, float, float]:
     """A random well-conditioned 2x2 PSD input (k_xx, k_xy, k_yy).
 
     Variances are uniform in [0.5, 4]; the correlation is drawn from
-    [-0.6, 0.9] excluding (-0.25, 0.25), keeping both activation
-    expectations far enough from zero for relative comparisons at feasible
-    sample counts.
+    [-0.6, 0.9] excluding (-0.25, 0.25), keeping the ReLU expectation far
+    enough from zero for relative comparisons at feasible sample counts.
     """
     a = float(rng.uniform(0.5, 4.0))
     b = float(rng.uniform(0.5, 4.0))
@@ -37,11 +35,8 @@ def random_psd_case(rng: np.random.Generator) -> tuple[float, float, float]:
 
 def mc_activation_expectations(
     k_xx: float, k_xy: float, k_yy: float, n_samples: int, rng: np.random.Generator
-) -> dict[str, float]:
-    """Monte-Carlo E[phi(u) phi(v)] for (u, v) ~ N(0, [[k_xx, k_xy], [k_xy, k_yy]]).
-
-    Returns estimates for both supported activations from shared draws.
-    """
+) -> float:
+    """Monte-Carlo E[relu(u) relu(v)] for (u, v) ~ N(0, [[k_xx, k_xy], [k_xy, k_yy]])."""
     if k_xx <= 0 or k_yy <= 0:
         raise ValueError("variances must be positive")
     # Explicit 2x2 Cholesky factor.
@@ -51,36 +46,27 @@ def mc_activation_expectations(
     z = rng.standard_normal((n_samples, 2))
     u = l11 * z[:, 0]
     v = l21 * z[:, 0] + l22 * z[:, 1]
-    relu_mean = float(np.mean(np.maximum(u, 0.0) * np.maximum(v, 0.0)))
-    erf_mean = float(np.mean(_erf(u) * _erf(v)))
-    return {"relu": relu_mean, "erf": erf_mean}
+    return float(np.mean(np.maximum(u, 0.0) * np.maximum(v, 0.0)))
 
 
 def kernel_mc_check(
     n_cases: int = 100, n_samples: int = 3_000_000, seed: int = 20240811
 ) -> dict:
-    """Compare both closed-form layer steps against sampled expectations.
+    """Compare the closed-form ReLU layer step against sampled expectations.
 
-    For every random PSD input the analytic expectation is recovered from the
-    layer step (bias removed, weight variance divided out) and compared with
-    the Monte-Carlo estimate, relative to the estimate.
+    For every random PSD input the analytic expectation is the layer step with
+    no bias and unit weight variance, compared with the Monte-Carlo estimate,
+    relative to the estimate.
     """
-    from .kernel import erf_kernel_step, relu_layer_step
-
     rng = np.random.default_rng(seed)
     config = KernelConfig(sigma_w_sq=1.0, sigma_b_sq=0.0, depth=1)
     start = time.perf_counter()
-    worst = {"relu": 0.0, "erf": 0.0}
+    worst = 0.0
     for _ in range(n_cases):
         k_xx, k_xy, k_yy = random_psd_case(rng)
         mc = mc_activation_expectations(k_xx, k_xy, k_yy, n_samples, rng)
-        analytic = {
-            "relu": float(relu_layer_step(k_xx, k_xy, k_yy, config)),
-            "erf": float(erf_kernel_step(k_xx, k_xy, k_yy, config)),
-        }
-        for act in ("relu", "erf"):
-            rel = abs(analytic[act] - mc[act]) / abs(mc[act])
-            worst[act] = max(worst[act], rel)
+        analytic = float(relu_layer_step(k_xx, k_xy, k_yy, config))
+        worst = max(worst, abs(analytic - mc) / abs(mc))
     return {
         "cases": n_cases,
         "samples_per_case": n_samples,
@@ -94,12 +80,6 @@ def kernel_mc_check(
 # ---------------------------------------------------------------------------
 
 
-def _activation(name: str):
-    if name == "relu":
-        return lambda z: np.maximum(z, 0.0)
-    return _erf
-
-
 def sample_network_covariance(
     X: np.ndarray,
     config: KernelConfig,
@@ -107,7 +87,7 @@ def sample_network_covariance(
     width: int = 4096,
     seed: int = 0,
 ) -> np.ndarray:
-    """Empirical output covariance of finite-width networks over inputs X.
+    """Empirical output covariance of finite-width ReLU networks over inputs X.
 
     Each network draws `config.depth` hidden layers of the given width with
     weight variance sigma_w^2 / fan_in and bias variance sigma_b^2. The
@@ -120,7 +100,6 @@ def sample_network_covariance(
         raise ValueError("finite-width sampling needs at least one hidden layer")
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    phi = _activation(config.activation)
     n = len(X)
     total = np.zeros((n, n), dtype=np.float64)
     sw, sb = config.sigma_w_sq, config.sigma_b_sq
@@ -130,7 +109,7 @@ def sample_network_covariance(
         for _ in range(config.depth):
             w = rng.standard_normal((fan_in, width)) * math.sqrt(sw / fan_in)
             b = rng.standard_normal(width) * math.sqrt(sb)
-            h = phi(h @ w + b)
+            h = np.maximum(h @ w + b, 0.0)
             fan_in = width
         total += (sw / width) * (h @ h.T) + sb
     return total / n_networks
@@ -197,8 +176,7 @@ def selfcheck(seed: int = 0, fast: bool = True) -> dict:
     )
     interp = gp_interpolation_check(seed=seed + 4)
     checks = {
-        "kernel_mc_relu": {"value": mc["worst_rel_err"]["relu"], "threshold": 0.05 if fast else 0.01},
-        "kernel_mc_erf": {"value": mc["worst_rel_err"]["erf"], "threshold": 0.05 if fast else 0.01},
+        "kernel_mc_relu": {"value": mc["worst_rel_err"], "threshold": 0.05 if fast else 0.01},
         "finite_width": {"value": fw["rel_frobenius_err"], "threshold": 0.08 if fast else 0.03},
         "gp_interpolation_mean": {"value": interp["max_abs_mean_err"], "threshold": 1e-6},
         "gp_interpolation_var": {"value": interp["max_var"], "threshold": 1e-6},

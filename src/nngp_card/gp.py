@@ -48,7 +48,7 @@ JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 _WHITEN_COLS = 512
 
 MODEL_FORMAT = "nngp-card-model"
-MODEL_VERSION = 6
+MODEL_VERSION = 7
 
 
 class FitError(Exception):

@@ -4,20 +4,16 @@ The network kernel starts from the linear-readout base case
 
     K0(x, x') = sigma_b^2 + sigma_w^2 * <x, x'> / d
 
-and applies one closed-form step per hidden layer. For ReLU the step is the
-first-order arc-cosine form, written in the cosine c = cos(theta):
+and applies one closed-form step per hidden ReLU layer: the first-order
+arc-cosine form, written in the cosine c = cos(theta):
 
     K(x, x') = sigma_b^2 + sigma_w^2 / (2 pi) * sqrt(Kxx * Kx'x')
                * (sqrt(1 - c^2) + (pi - arccos(c)) * c),
     c = Kxx' / sqrt(Kxx * Kx'x'),
 
-whose diagonal reduces to sigma_b^2 + sigma_w^2 * Kxx / 2. For Erf the step is
-
-    K(x, x') = sigma_b^2 + sigma_w^2 * (2 / pi)
-               * arcsin(2 Kxx' / sqrt((1 + 2 Kxx)(1 + 2 Kx'x'))).
-
-The bias of a shared additive bias term lands on every entry, diagonal and
-off-diagonal alike, as in the infinite-width limit.
+whose diagonal reduces to sigma_b^2 + sigma_w^2 * Kxx / 2. The bias of a
+shared additive bias term lands on every entry, diagonal and off-diagonal
+alike, as in the infinite-width limit.
 
 Given the per-layer diagonals, which follow their own recurrence, every
 layer step is elementwise. `nngp_kernel` therefore builds a matrix in row
@@ -72,12 +68,11 @@ class KernelError(Exception):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Prior variances, depth, activation and observation noise of the network kernel."""
+    """Prior variances, depth and observation noise of the ReLU network kernel."""
 
     sigma_w_sq: float = 1.6
     sigma_b_sq: float = 0.1
     depth: int = 3
-    activation: str = "relu"
     noise_sq: float = 1e-3
 
     def __post_init__(self):
@@ -88,8 +83,6 @@ class KernelConfig:
                 raise KernelError(f"{name} must be a finite number, got {value!r}")
         if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral):
             raise KernelError(f"depth must be an integer, got {self.depth!r}")
-        if not isinstance(self.activation, str):
-            raise KernelError(f"activation must be a string, got {self.activation!r}")
         if self.sigma_w_sq <= 0:
             raise KernelError(f"sigma_w_sq must be > 0, got {self.sigma_w_sq}")
         if self.sigma_b_sq < 0:
@@ -98,8 +91,6 @@ class KernelConfig:
             raise KernelError(f"noise_sq must be >= 0, got {self.noise_sq}")
         if self.depth < 0:
             raise KernelError(f"depth must be >= 0, got {self.depth}")
-        if self.activation not in ("relu", "erf"):
-            raise KernelError(f"unknown activation {self.activation!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,17 +157,6 @@ def relu_layer_step(
     return K
 
 
-def erf_kernel_step(
-    k_xx: np.ndarray, k_xxp: np.ndarray, k_xpxp: np.ndarray, config: KernelConfig
-) -> np.ndarray:
-    """One Erf-layer update of cross-covariance entries (vectorized)."""
-    k_xx = np.asarray(k_xx, dtype=np.float64)
-    k_xpxp = np.asarray(k_xpxp, dtype=np.float64)
-    K = _broadcast_copy(k_xx, k_xxp, k_xpxp)
-    _erf_step(K, k_xx, k_xpxp, config)
-    return K
-
-
 def _broadcast_copy(k_xx, k_xxp, k_xpxp) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(k_xx), np.shape(k_xxp), np.shape(k_xpxp))
     return np.array(np.broadcast_to(np.asarray(k_xxp, dtype=np.float64), shape))
@@ -208,31 +188,13 @@ def _relu_step(K, k_xx, k_xpxp, config, scratch) -> None:
     K += config.sigma_b_sq
 
 
-def _erf_step(K, k_xx, k_xpxp, config) -> None:
-    """Erf step in place on K; the arcsin argument is clamped into [-1, 1]."""
-    K *= 2.0 / np.sqrt(1.0 + 2.0 * k_xx)
-    K *= 1.0 / np.sqrt(1.0 + 2.0 * k_xpxp)
-    np.clip(K, -1.0, 1.0, out=K)
-    np.arcsin(K, out=K)
-    K *= (2.0 / math.pi) * config.sigma_w_sq
-    K += config.sigma_b_sq
-
-
-def _diag_step(diag: np.ndarray, config: KernelConfig) -> np.ndarray:
-    if config.activation == "relu":
-        return config.sigma_b_sq + config.sigma_w_sq * diag / 2.0
-    return config.sigma_b_sq + config.sigma_w_sq * (2.0 / math.pi) * np.arcsin(
-        2.0 * diag / (1.0 + 2.0 * diag)
-    )
-
-
 def _diag_layers(X: np.ndarray, config: KernelConfig) -> list:
     """K^l(x, x) for l = 0..depth; each variance a ReLU step divides by is checked."""
     diags = [base_diag(X, config)]
     for _ in range(config.depth):
-        if config.activation == "relu" and np.any(diags[-1] <= 0):
+        if np.any(diags[-1] <= 0):
             raise KernelError("non-positive variance encountered in depth recursion")
-        diags.append(_diag_step(diags[-1], config))
+        diags.append(config.sigma_b_sq + config.sigma_w_sq * diags[-1] / 2.0)
     return diags
 
 
@@ -307,8 +269,7 @@ def nngp_kernel(
         raise KernelError("triangle=True needs the same-batch matrix (X2=None)")
     row_diags = _diag_layers(X, config)
     col_diags = row_diags if same else _diag_layers(X2, config)
-    relu = config.activation == "relu"
-    scratch = np.empty((3, _largest_block(n, m))) if relu else None
+    scratch = np.empty((3, _largest_block(n, m)))
     if same:
         K, tile = square_zeros(n), np.empty(_largest_block(n, n))
     else:
@@ -317,14 +278,10 @@ def nngp_kernel(
         rows, cols = slice(lo, hi), (slice(lo, None) if same else slice(None))
         block = tile[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo) if same else K[rows]
         block[...] = base_kernel(X[rows], X2[cols], config)
-        if relu:
-            block_scratch = [buf[: block.size].reshape(block.shape) for buf in scratch]
+        block_scratch = [buf[: block.size].reshape(block.shape) for buf in scratch]
         for depth in range(config.depth):
             k_xx, k_xpxp = row_diags[depth][rows, None], col_diags[depth][None, cols]
-            if relu:
-                _relu_step(block, k_xx, k_xpxp, config, block_scratch)
-            else:
-                _erf_step(block, k_xx, k_xpxp, config)
+            _relu_step(block, k_xx, k_xpxp, config, block_scratch)
         if same:
             K[lo:hi, lo:] = block
             square = K[lo:hi, lo:hi]

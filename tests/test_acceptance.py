@@ -109,13 +109,13 @@ class TestCriterion1:
     def test_layer_steps_match_monte_carlo(self):
         result = kernel_mc_check(n_cases=100, n_samples=3_000_000, seed=20240811)
         worst = result["worst_rel_err"]
-        ok = worst["relu"] <= 0.01 and worst["erf"] <= 0.01 and result["elapsed_s"] < 60
+        ok = worst <= 0.01 and result["elapsed_s"] < 60
         report(
             1,
             ok,
-            f"relu/erf layer steps vs 3e6-sample bivariate-normal expectations on "
-            f"100 random PSD inputs: worst rel err relu={worst['relu']:.4f}, "
-            f"erf={worst['erf']:.4f} (gate 0.01), elapsed {result['elapsed_s']:.1f}s (< 60s)",
+            f"relu layer step vs 3e6-sample bivariate-normal expectations on "
+            f"100 random PSD inputs: worst rel err {worst:.4f} (gate 0.01), "
+            f"elapsed {result['elapsed_s']:.1f}s (< 60s)",
         )
 
 

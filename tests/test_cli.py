@@ -555,7 +555,7 @@ class TestGuards:
             assert {f.name: getattr(args, f.name) for f in fields} == KernelConfig().to_dict(), command[0]
 
 
-    @pytest.mark.parametrize("flag", ["--kernel-family=rbf", "--length-scale=0.8"])
+    @pytest.mark.parametrize("flag", ["--kernel-family=rbf", "--length-scale=0.8", "--activation=relu"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -565,7 +565,7 @@ class TestGuards:
         ],
     )
     def test_removed_kernel_flags_rejected(self, capsys, command, flag):
-        # the network kernel is the one family, so neither flag exists
+        # the ReLU network kernel is the one family and activation, so no such flag exists
         with pytest.raises(SystemExit) as info:
             cli.main(command + [flag])
         assert info.value.code == 2
@@ -617,6 +617,7 @@ class TestInputDocuments:
             pytest.param('{"kernel": {"noise_sq": null}}', "KernelError", id="wrong-type-null"),
             pytest.param('{"kernel": {"kernel_family": "rbf"}}', "KernelError", id="removed-key-kernel-family"),
             pytest.param('{"kernel": {"length_scale": 0.8}}', "KernelError", id="removed-key-length-scale"),
+            pytest.param('{"kernel": {"activation": "relu"}}', "KernelError", id="removed-key-activation"),
             pytest.param('{"encoder": {"chunk_size": "8"}}', "EncodingError", id="wrong-type-encoder"),
             pytest.param('{"encoder": {"chunk_size": 0}}', "EncodingError", id="zero-chunk-size"),
         ],
@@ -889,7 +890,8 @@ class TestMisc:
 
     def test_selfcheck_fast_passes(self, capsys):
         out = run(["selfcheck", "--seed", 0], capsys=capsys)
-        assert out.out.count("[PASS]") == 5
+        passed = {line.split()[1].rstrip(":") for line in out.out.splitlines() if line.startswith("[PASS]")}
+        assert passed == {"kernel_mc_relu", "finite_width", "gp_interpolation_mean", "gp_interpolation_var"}
         assert "[FAIL]" not in out.out
 
     def test_console_entry_point(self):

@@ -14,7 +14,6 @@ from nngp_card.kernel import (
     KernelConfig,
     KernelError,
     base_kernel,
-    erf_kernel_step,
     kernel_diag,
     kernel_matrix,
     nngp_kernel,
@@ -32,7 +31,6 @@ class TestConfig:
             {"sigma_b_sq": -0.1},
             {"noise_sq": -1.0},
             {"depth": -1},
-            {"activation": "tanh"},
             {"noise_sq": float("nan")},
             {"sigma_w_sq": float("inf")},
             {"sigma_b_sq": None},
@@ -40,10 +38,8 @@ class TestConfig:
             {"depth": 2.5},
             {"depth": True},
             {"depth": "3"},
-            {"activation": 1},
             {"sigma_b_sq": False},
             {"noise_sq": True},
-            {"activation": "ReLU"},
             {"depth": None},
         ],
     )
@@ -52,14 +48,20 @@ class TestConfig:
             KernelConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "doc", [{"sigma_w_sq": 1.0, "bogus": 2}, {"kernel_family": "nngp"}, {"length_scale": 0.8}]
+        "doc",
+        [
+            {"sigma_w_sq": 1.0, "bogus": 2},
+            {"kernel_family": "nngp"},
+            {"length_scale": 0.8},
+            {"activation": "relu"},
+        ],
     )
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(KernelError, match="unknown kernel config keys"):
             KernelConfig.from_dict(doc)
 
     def test_round_trip(self):
-        cfg = KernelConfig(depth=5, activation="erf")
+        cfg = KernelConfig(depth=5, noise_sq=0.01)
         assert KernelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -124,34 +126,15 @@ class TestReluStep:
         assert val == pytest.approx(2.0 * k / 2.0, rel=1e-12)
 
 
-class TestErfStep:
-    def test_zero_covariance_gives_bias(self):
-        cfg = KernelConfig(sigma_w_sq=1.4, sigma_b_sq=0.25)
-        assert erf_kernel_step(1.0, 0.0, 2.0, cfg) == pytest.approx(0.25)
-
-    def test_symmetric_formula_instantiation(self):
-        cfg = KernelConfig(sigma_w_sq=1.0, sigma_b_sq=0.1)
-        c = 0.6
-        expected = 0.1 + (2 / math.pi) * math.asin(2 * c / (1 + 2 * c))
-        assert erf_kernel_step(c, c, c, cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_arcsin_argument_clamped(self):
-        cfg = KernelConfig(sigma_w_sq=1.0, sigma_b_sq=0.0)
-        # covariance numerically above the PSD limit must not NaN
-        val = erf_kernel_step(0.5, 0.5 * (1 + 5e-16), 0.5, cfg)
-        assert np.isfinite(val)
-
-
 class TestMonteCarloAgreement:
-    def test_both_steps_match_sampled_expectations(self):
+    def test_relu_step_matches_sampled_expectations(self):
         # smoke-scale version of the full acceptance check
         rng = np.random.default_rng(424242)
         cfg = KernelConfig(sigma_w_sq=1.0, sigma_b_sq=0.0, depth=1)
         for _ in range(10):
             kxx, kxy, kyy = random_psd_case(rng)
             mc = mc_activation_expectations(kxx, kxy, kyy, 500_000, rng)
-            assert relu_layer_step(kxx, kxy, kyy, cfg) == pytest.approx(mc["relu"], rel=0.02)
-            assert erf_kernel_step(kxx, kxy, kyy, cfg) == pytest.approx(mc["erf"], rel=0.02)
+            assert relu_layer_step(kxx, kxy, kyy, cfg) == pytest.approx(mc, rel=0.02)
 
 
 class TestDepthRecursion:
@@ -173,17 +156,6 @@ class TestDepthRecursion:
             a = 0.1 + 1.6 * sum(float(v) ** 2 for v in X[i]) / 5
             for _ in range(3):
                 a = 0.1 + 1.6 * a / 2.0
-            assert K[i, i] == pytest.approx(a, rel=1e-12)
-
-    def test_erf_diagonal_matches_scalar_recurrence(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, (4, 3))
-        cfg = KernelConfig(sigma_w_sq=1.2, sigma_b_sq=0.3, depth=2, activation="erf", noise_sq=0.0)
-        K = nngp_kernel(X, None, cfg)
-        for i in range(len(X)):
-            a = 0.3 + 1.2 * sum(float(v) ** 2 for v in X[i]) / 3
-            for _ in range(2):
-                a = 0.3 + 1.2 * (2 / math.pi) * math.asin(2 * a / (1 + 2 * a))
             assert K[i, i] == pytest.approx(a, rel=1e-12)
 
     def test_cross_matrix_consistent_with_same_batch(self):
@@ -239,33 +211,30 @@ class TestDepthRecursion:
     def test_kernel_diag_matches_matrix_diag(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, (9, 4))
-        for activation in ("relu", "erf"):
-            cfg = KernelConfig(depth=3, activation=activation, noise_sq=0.0)
-            K = nngp_kernel(X, None, cfg)
-            np.testing.assert_allclose(kernel_diag(X, cfg), np.diag(K), atol=1e-12)
+        cfg = KernelConfig(depth=3, noise_sq=0.0)
+        K = nngp_kernel(X, None, cfg)
+        np.testing.assert_allclose(kernel_diag(X, cfg), np.diag(K), atol=1e-12)
 
 
 def _dense_layers(X, X2, cfg):
     """Depth 0..cfg.depth of the recursion over full broadcast matrices."""
     X2 = X if X2 is None else X2
-    step = relu_layer_step if cfg.activation == "relu" else erf_kernel_step
     K = base_kernel(X, X2, cfg)
     yield K
     for depth in range(cfg.depth):
         layer = dataclasses.replace(cfg, depth=depth)
-        K = step(kernel_diag(X, layer)[:, None], K, kernel_diag(X2, layer)[None, :], cfg)
+        K = relu_layer_step(kernel_diag(X, layer)[:, None], K, kernel_diag(X2, layer)[None, :], cfg)
         yield K
 
 
 class TestBlockBuild:
-    @pytest.mark.parametrize("activation", ["relu", "erf"])
     @pytest.mark.parametrize("n", [1, 7, 2000])
-    def test_same_batch_matches_dense_recursion(self, activation, n):
+    def test_same_batch_matches_dense_recursion(self, n):
         if n == 2000:  # several upper row blocks, growing down the matrix
             blocks = list(row_blocks(n, n, upper=True))
             assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] > blocks[0][1] - blocks[0][0]
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
-        top = KernelConfig(depth=4, activation=activation, noise_sq=0.01)
+        top = KernelConfig(depth=4, noise_sq=0.01)
         for depth, ref in enumerate(_dense_layers(X, None, top)):
             cfg = dataclasses.replace(top, depth=depth)
             K = nngp_kernel(X, None, cfg)  # noise-free whatever noise_sq says
@@ -276,8 +245,8 @@ class TestBlockBuild:
     @pytest.mark.parametrize("n", [1, 7, 2000])
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=d, activation=a) for a in ("relu", "erf") for d in range(5)],
-        ids=[f"{a}-{d}" for a in ("relu", "erf") for d in range(5)],
+        [KernelConfig(depth=d) for d in range(5)],
+        ids=[f"relu-{d}" for d in range(5)],
     )
     def test_triangle_is_the_dense_upper_triangle(self, cfg, n):
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
@@ -288,17 +257,13 @@ class TestBlockBuild:
         assert not np.any(np.tril(tri, -1))
 
     @pytest.mark.parametrize("n", [1999, 2000])
-    @pytest.mark.parametrize(
-        "cfg",
-        [KernelConfig(depth=3), KernelConfig(depth=2, activation="erf")],
-        ids=["relu-3", "erf-2"],
-    )
-    def test_each_upper_block_is_its_cross_kernel(self, cfg, n):
+    def test_each_upper_block_is_its_cross_kernel(self, n):
         """Above the diagonal, same-batch block K[lo:hi, lo:] is, bit for bit,
         the cross kernel of its rows against columns lo:, which fills its rows
         in one contiguous block of the same shape. (The whole K(X, X) need not
         equal the triangle: GEMM bits depend on the block shape.)"""
         X = np.random.default_rng(n).uniform(0, 1, (n, 40))
+        cfg = KernelConfig(depth=3)
         tri = kernel_matrix(X, None, cfg, triangle=True)
         for lo, hi in row_blocks(n, n, upper=True):
             cross = nngp_kernel(X[lo:hi], X[lo:], cfg)
@@ -337,12 +302,11 @@ class TestBlockBuild:
             width = n_cols - lo if upper else n_cols
             assert hi > lo and ((hi - lo) * width <= _BLOCK_ELEMS or hi - lo == 1)
 
-    @pytest.mark.parametrize("activation", ["relu", "erf"])
     @pytest.mark.parametrize("m", [1, 123])
-    def test_cross_batch_matches_dense_recursion(self, activation, m):
+    def test_cross_batch_matches_dense_recursion(self, m):
         rng = np.random.default_rng(m)
         X, X2 = rng.uniform(0, 1, (2000, 6)), rng.uniform(0, 1, (m, 6))
-        top = KernelConfig(depth=4, activation=activation)
+        top = KernelConfig(depth=4)
         for depth, ref in enumerate(_dense_layers(X, X2, top)):
             K = nngp_kernel(X, X2, dataclasses.replace(top, depth=depth))
             np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
