@@ -317,8 +317,8 @@ class TestActiveLearn:
         with pytest.raises(ValueError, match=match):
             active_learn(**inputs, config=KernelConfig(), iterations=2, k=10)
 
-    def test_matches_full_refit_reference(self, al_data):
-        cfg = KernelConfig()
+    @pytest.mark.parametrize("cfg", [KernelConfig(), KernelConfig(depth=2, sigma_w_sq=2.4, sigma_b_sq=0.5)])
+    def test_matches_full_refit_reference(self, al_data, cfg):
         res = active_learn(*al_data, cfg, iterations=3, k=15)
         history, selected, est = refit_reference(*al_data, cfg, iterations=3, k=15)
         assert res.refits == 0

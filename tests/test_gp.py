@@ -12,6 +12,11 @@ from nngp_card.gp import FitError, ModelIOError
 from nngp_card.kernel import KernelConfig, kernel_diag, kernel_matrix, nngp_kernel
 
 
+# A second ReLU prior, above the critical weight variance 2: its layers grow
+# the kernel's diagonal where the default's shrink it.
+WIDE_PRIOR = {"sigma_w_sq": 2.4, "sigma_b_sq": 0.5}
+
+
 @pytest.fixture
 def small_data():
     rng = np.random.default_rng(17)
@@ -66,8 +71,8 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=d) for d in range(5)],
-        ids=[f"relu-{d}" for d in range(5)],
+        [KernelConfig(depth=d) for d in range(5)] + [KernelConfig(depth=d, **WIDE_PRIOR) for d in range(5)],
+        ids=[f"relu-{d}" for d in range(5)] + [f"relu-w2.4-b0.5-{d}" for d in range(5)],
     )
     @pytest.mark.parametrize("noise_sq", [1e-3, 0.0])
     def test_factor_is_the_noise_free_kernel_plus_noise_and_jitter(self, cfg, noise_sq):
@@ -152,13 +157,16 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-EXTEND_CONFIGS = [KernelConfig(depth=depth) for depth in range(5)]
+EXTEND_CONFIGS = [KernelConfig(depth=depth) for depth in range(5)] + [
+    KernelConfig(depth=depth, **WIDE_PRIOR) for depth in range(5)
+]
+EXTEND_IDS = [f"nngp-relu-{d}" for d in range(5)] + [f"nngp-relu-w2.4-b0.5-{d}" for d in range(5)]
 
 
 class TestExtend:
     @pytest.mark.parametrize("k", [1, 50])
     @pytest.mark.parametrize(
-        "cfg", EXTEND_CONFIGS, ids=[f"nngp-relu-{c.depth}" for c in EXTEND_CONFIGS]
+        "cfg", EXTEND_CONFIGS, ids=EXTEND_IDS
     )
     def test_matches_fit_on_the_union(self, cfg, k):
         rng = np.random.default_rng(8)

@@ -41,6 +41,9 @@ class TestConfig:
             {"sigma_b_sq": False},
             {"noise_sq": True},
             {"depth": None},
+            {"sigma_w_sq": -1.6},
+            {"sigma_b_sq": float("nan")},
+            {"noise_sq": float("-inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -124,6 +127,24 @@ class TestReluStep:
         k = 0.7
         val = relu_layer_step(k, k * (1 + 1e-15), k, cfg)
         assert val == pytest.approx(2.0 * k / 2.0, rel=1e-12)
+
+    def test_opposite_inputs_give_bias(self):
+        # c = -1: theta = pi, and the arc-cosine term vanishes
+        cfg = KernelConfig(sigma_w_sq=1.4, sigma_b_sq=0.25)
+        assert relu_layer_step(0.9, -0.9, 0.9, cfg) == pytest.approx(0.25, rel=1e-12)
+
+    def test_clamps_negative_cosine_drift(self):
+        cfg = KernelConfig(sigma_w_sq=2.0, sigma_b_sq=0.1)
+        k = 0.7
+        val = relu_layer_step(k, -k * (1 + 1e-15), k, cfg)
+        assert np.isfinite(val) and val == pytest.approx(0.1, abs=1e-12)
+
+    def test_weight_term_is_positively_homogeneous(self):
+        # without bias, scaling every input covariance by a scales the output by a
+        cfg = KernelConfig(sigma_w_sq=1.6, sigma_b_sq=0.0)
+        kxx, kxy, kyy, a = 0.8, 0.3, 1.1, 3.5
+        scaled = relu_layer_step(a * kxx, a * kxy, a * kyy, cfg)
+        assert scaled == pytest.approx(a * relu_layer_step(kxx, kxy, kyy, cfg), rel=1e-12)
 
 
 class TestMonteCarloAgreement:
@@ -227,14 +248,20 @@ def _dense_layers(X, X2, cfg):
         yield K
 
 
+# The block-build tests run the default prior and one above ReLU's critical
+# weight variance 2, whose layers grow the diagonal instead of shrinking it.
+PRIORS = {"relu": {}, "relu-w2.4-b0.5": {"sigma_w_sq": 2.4, "sigma_b_sq": 0.5}}
+
+
 class TestBlockBuild:
+    @pytest.mark.parametrize("prior", PRIORS)
     @pytest.mark.parametrize("n", [1, 7, 2000])
-    def test_same_batch_matches_dense_recursion(self, n):
+    def test_same_batch_matches_dense_recursion(self, prior, n):
         if n == 2000:  # several upper row blocks, growing down the matrix
             blocks = list(row_blocks(n, n, upper=True))
             assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] > blocks[0][1] - blocks[0][0]
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
-        top = KernelConfig(depth=4, noise_sq=0.01)
+        top = KernelConfig(depth=4, noise_sq=0.01, **PRIORS[prior])
         for depth, ref in enumerate(_dense_layers(X, None, top)):
             cfg = dataclasses.replace(top, depth=depth)
             K = nngp_kernel(X, None, cfg)  # noise-free whatever noise_sq says
@@ -245,8 +272,8 @@ class TestBlockBuild:
     @pytest.mark.parametrize("n", [1, 7, 2000])
     @pytest.mark.parametrize(
         "cfg",
-        [KernelConfig(depth=d) for d in range(5)],
-        ids=[f"relu-{d}" for d in range(5)],
+        [KernelConfig(depth=d, **PRIORS[p]) for p in PRIORS for d in range(5)],
+        ids=[f"{p}-{d}" for p in PRIORS for d in range(5)],
     )
     def test_triangle_is_the_dense_upper_triangle(self, cfg, n):
         X = np.random.default_rng(n).uniform(0, 1, (n, 6))
@@ -257,13 +284,17 @@ class TestBlockBuild:
         assert not np.any(np.tril(tri, -1))
 
     @pytest.mark.parametrize("n", [1999, 2000])
-    def test_each_upper_block_is_its_cross_kernel(self, n):
+    @pytest.mark.parametrize(
+        "cfg",
+        [KernelConfig(depth=3), KernelConfig(depth=2, **PRIORS["relu-w2.4-b0.5"])],
+        ids=["relu-3", "relu-w2.4-b0.5-2"],
+    )
+    def test_each_upper_block_is_its_cross_kernel(self, cfg, n):
         """Above the diagonal, same-batch block K[lo:hi, lo:] is, bit for bit,
         the cross kernel of its rows against columns lo:, which fills its rows
         in one contiguous block of the same shape. (The whole K(X, X) need not
         equal the triangle: GEMM bits depend on the block shape.)"""
         X = np.random.default_rng(n).uniform(0, 1, (n, 40))
-        cfg = KernelConfig(depth=3)
         tri = kernel_matrix(X, None, cfg, triangle=True)
         for lo, hi in row_blocks(n, n, upper=True):
             cross = nngp_kernel(X[lo:hi], X[lo:], cfg)
@@ -302,11 +333,12 @@ class TestBlockBuild:
             width = n_cols - lo if upper else n_cols
             assert hi > lo and ((hi - lo) * width <= _BLOCK_ELEMS or hi - lo == 1)
 
+    @pytest.mark.parametrize("prior", PRIORS)
     @pytest.mark.parametrize("m", [1, 123])
-    def test_cross_batch_matches_dense_recursion(self, m):
+    def test_cross_batch_matches_dense_recursion(self, prior, m):
         rng = np.random.default_rng(m)
         X, X2 = rng.uniform(0, 1, (2000, 6)), rng.uniform(0, 1, (m, 6))
-        top = KernelConfig(depth=4)
+        top = KernelConfig(depth=4, **PRIORS[prior])
         for depth, ref in enumerate(_dense_layers(X, X2, top)):
             K = nngp_kernel(X, X2, dataclasses.replace(top, depth=depth))
             np.testing.assert_allclose(K, ref, rtol=1e-12, atol=0)
